@@ -68,7 +68,8 @@ void BM_PprSolveBall(benchmark::State& state) {
   std::vector<double> r(ball.size(), 0.0);
   r[0] = 1.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveIMinusAlphaP(full, ball, r, {}));
+    benchmark::DoNotOptimize(
+        SolveIMinusAlphaP(LocalSubgraph(full, ball), r, {}));
   }
   state.counters["ball_nodes"] = static_cast<double>(ball.size());
 }

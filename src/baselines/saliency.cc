@@ -1,7 +1,6 @@
 #include "src/baselines/saliency.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "src/ppr/ppr.h"
 
@@ -11,62 +10,14 @@ std::vector<Edge> SalientEdges(const GraphView& view, const Matrix& features,
                                const GnnModel& model, NodeId v, Label l,
                                int hop_radius, int max_ball_nodes, double alpha,
                                int pool) {
-  const std::vector<NodeId> ball =
-      CappedBall(view, v, hop_radius, max_ball_nodes);
-  const Matrix base = model.BaseLogits(view, features);
-
   PprOptions ppr;
   ppr.alpha = alpha;
-  std::vector<double> r(ball.size());
-  for (size_t i = 0; i < ball.size(); ++i) r[i] = base.at(ball[i], l);
-  const std::vector<double> x = SolveIMinusAlphaP(view, ball, r, ppr);
-
-  std::unordered_map<NodeId, size_t> local;
-  for (size_t i = 0; i < ball.size(); ++i) local[ball[i]] = i;
-  auto mu = [&](size_t i) { return (x[i] - r[i]) / alpha; };
-
-  // Hop distances from v: like a gradient-based mask, saliency concentrates
-  // on the test node's computation graph, nearest edges first.
-  std::unordered_map<NodeId, int> dist;
-  dist[v] = 0;
-  {
-    std::vector<NodeId> frontier{v};
-    int d = 0;
-    std::vector<NodeId> nbrs;
-    while (!frontier.empty()) {
-      std::vector<NodeId> next;
-      for (NodeId u : frontier) {
-        nbrs.clear();
-        view.AppendNeighbors(u, &nbrs);
-        for (NodeId w : nbrs) {
-          if (local.count(w) > 0 && dist.emplace(w, d + 1).second) {
-            next.push_back(w);
-          }
-        }
-      }
-      frontier = std::move(next);
-      ++d;
-    }
-  }
-
-  struct Scored {
-    Edge edge;
-    double score;
-    int distance;
-  };
-  std::vector<Scored> scored;
-  for (const Edge& e : InducedEdges(view, ball)) {
-    const size_t iu = local[e.u], iv = local[e.v];
-    const int d = std::min(dist.count(e.u) ? dist[e.u] : 1 << 20,
-                           dist.count(e.v) ? dist[e.v] : 1 << 20);
-    scored.push_back({e, std::max(x[iv] - mu(iu), x[iu] - mu(iv)), d});
-  }
-  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.score != b.score ? a.score > b.score : a.edge < b.edge;
-  });
+  // Nearest edges first: like a gradient-based mask, saliency concentrates
+  // on the test node's computation graph.
   std::vector<Edge> out;
-  for (const auto& s : scored) {
+  for (const EvidenceEdge& s :
+       RankEvidenceEdges(view, v, hop_radius, max_ball_nodes,
+                         model.BaseLogits(view, features), l, ppr)) {
     if (static_cast<int>(out.size()) >= pool) break;
     out.push_back(s.edge);
   }

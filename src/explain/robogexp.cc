@@ -20,12 +20,6 @@ namespace detail {
 
 namespace {
 
-struct ScoredEdge {
-  Edge edge;
-  double score;
-  int distance;  // hops from v to the closer endpoint
-};
-
 /// Evidence-carrying candidate edges around v, nearest-and-strongest first.
 ///
 /// Both CW conditions are local to v: the factual side needs evidence paths
@@ -34,75 +28,22 @@ struct ScoredEdge {
 /// (v's incident edges form the natural cut) and by routed class-l evidence
 /// second. No inference happens here — the class-l evidence is read from the
 /// base logits the caller computed once per generation.
-std::vector<ScoredEdge> RankExpansionCandidates(
+std::vector<EvidenceEdge> RankExpansionCandidates(
     const WitnessConfig& cfg, const FullView& full, NodeId v, Label l,
     const Matrix& base_logits, const Witness& gs, const NodeWorkScope& scope) {
-  const std::vector<NodeId> ball =
-      CappedBall(full, v, cfg.hop_radius, cfg.max_ball_nodes);
-
-  // PPR value vector of the class-l evidence: x = (I - αP)^{-1} Z_{:,l}.
   PprOptions ppr = cfg.ppr;
   ppr.alpha = ResolveAlpha(cfg);
-  std::vector<double> r(ball.size());
-  for (size_t i = 0; i < ball.size(); ++i) {
-    r[i] = base_logits.at(ball[i], l);
-  }
-  const std::vector<double> x = SolveIMinusAlphaP(full, ball, r, ppr);
-
-  std::unordered_map<NodeId, size_t> local;
-  for (size_t i = 0; i < ball.size(); ++i) local[ball[i]] = i;
-  auto mu = [&](size_t i) { return (x[i] - r[i]) / ppr.alpha; };
-
-  // Hop distances from v (the ball is in BFS order, but distances need the
-  // explicit BFS layering).
-  std::unordered_map<NodeId, int> dist;
-  dist[v] = 0;
-  {
-    std::vector<NodeId> frontier{v};
-    int d = 0;
-    std::vector<NodeId> nbrs;
-    while (!frontier.empty()) {
-      std::vector<NodeId> next;
-      for (NodeId u : frontier) {
-        nbrs.clear();
-        full.AppendNeighbors(u, &nbrs);
-        for (NodeId w : nbrs) {
-          if (local.count(w) > 0 && dist.emplace(w, d + 1).second) {
-            next.push_back(w);
-          }
-        }
-      }
-      frontier = std::move(next);
-      ++d;
-    }
-  }
-
-  std::vector<ScoredEdge> out;
-  for (const Edge& e : InducedEdges(full, ball)) {
-    if (gs.HasEdge(e.u, e.v)) continue;
-    if (scope.allowed_edges != nullptr &&
-        scope.allowed_edges->count(e.Key()) == 0) {
-      continue;
-    }
-    if (scope.allowed_nodes != nullptr &&
-        (scope.allowed_nodes->count(e.u) == 0 ||
-         scope.allowed_nodes->count(e.v) == 0)) {
-      continue;
-    }
-    const size_t iu = local[e.u], iv = local[e.v];
-    // How much class-l evidence does this edge route? An edge is supportive
-    // when one endpoint's value exceeds the other's neighborhood mean.
-    const double score = std::max(x[iv] - mu(iu), x[iu] - mu(iv));
-    const int d = std::min(dist.count(e.u) ? dist[e.u] : 1 << 20,
-                           dist.count(e.v) ? dist[e.v] : 1 << 20);
-    out.push_back({e, score, d});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ScoredEdge& a, const ScoredEdge& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              if (a.score != b.score) return a.score > b.score;
-              return a.edge < b.edge;
-            });
+  std::vector<EvidenceEdge> out = RankEvidenceEdges(
+      full, v, cfg.hop_radius, cfg.max_ball_nodes, base_logits, l, ppr);
+  std::erase_if(out, [&](const EvidenceEdge& c) {
+    const Edge& e = c.edge;
+    return gs.HasEdge(e.u, e.v) ||
+           (scope.allowed_edges != nullptr &&
+            scope.allowed_edges->count(e.Key()) == 0) ||
+           (scope.allowed_nodes != nullptr &&
+            (scope.allowed_nodes->count(e.u) == 0 ||
+             scope.allowed_nodes->count(e.v) == 0));
+  });
   return out;
 }
 

@@ -13,23 +13,18 @@ AppnpModel::AppnpModel(Matrix theta, Matrix bias, double alpha, PprOptions ppr)
 Matrix AppnpModel::InferSubset(const GraphView& view, const Matrix& features,
                                const std::vector<NodeId>& nodes) const {
   // H = XΘ + b restricted to the subset.
-  Matrix x(static_cast<int64_t>(nodes.size()), features.cols());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const double* src = features.Row(nodes[i]);
-    double* dst = x.Row(static_cast<int64_t>(i));
-    for (int64_t c = 0; c < features.cols(); ++c) dst[c] = src[c];
-  }
-  Matrix h = Matrix::Multiply(x, theta_);
+  Matrix h = Matrix::Multiply(features.GatherRows(nodes), theta_);
   h.AddRowVectorInPlace(bias_);
 
   // Column-wise propagation: z_{:,c} = (1-α)(I - αP)^{-1} h_{:,c}.
+  const LocalSubgraph sub(view, nodes);
   Matrix z(h.rows(), h.cols());
   std::vector<double> r(nodes.size());
   for (int64_t c = 0; c < h.cols(); ++c) {
     for (size_t i = 0; i < nodes.size(); ++i) {
       r[i] = h.at(static_cast<int64_t>(i), c);
     }
-    const std::vector<double> col = SolveIMinusAlphaP(view, nodes, r, ppr_);
+    const std::vector<double> col = SolveIMinusAlphaP(sub, r, ppr_);
     for (size_t i = 0; i < nodes.size(); ++i) {
       z.at(static_cast<int64_t>(i), c) = (1.0 - alpha_) * col[i];
     }

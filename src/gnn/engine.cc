@@ -62,6 +62,12 @@ const GraphView* InferenceEngine::ViewOf(ViewId id) const {
   return it->second.view;
 }
 
+void InferenceEngine::EndReadLocked(const GraphView* view) {
+  if (--readers_[view] > 0) return;
+  readers_.erase(view);
+  readers_done_.notify_all();
+}
+
 InferenceEngine::ViewId InferenceEngine::Register(const GraphView* view) {
   RCW_CHECK(view != nullptr);
   std::unique_lock<std::mutex> lock(mu_);
@@ -74,8 +80,10 @@ void InferenceEngine::Bind(ViewId id, const GraphView* view) {
   RCW_CHECK(view != nullptr);
   std::unique_lock<std::mutex> lock(mu_);
   Slot& slot = slots_[id];
+  const GraphView* old = slot.view;
   slot.view = view;
   slot.logits.clear();
+  readers_done_.wait(lock, [&] { return readers_.count(old) == 0; });
 }
 
 void InferenceEngine::Invalidate(ViewId id) {
@@ -118,7 +126,11 @@ void InferenceEngine::InvalidateOverlays() {
 void InferenceEngine::Release(ViewId id) {
   RCW_CHECK_MSG(id != kFullView, "InferenceEngine: cannot release full view");
   std::unique_lock<std::mutex> lock(mu_);
-  slots_.erase(id);
+  auto it = slots_.find(id);
+  if (it == slots_.end()) return;
+  const GraphView* old = it->second.view;
+  slots_.erase(it);
+  readers_done_.wait(lock, [&] { return readers_.count(old) == 0; });
 }
 
 void InferenceEngine::EvictOverlayForInsertLocked(size_t incoming) {
@@ -156,6 +168,7 @@ std::vector<double> InferenceEngine::Logits(ViewId id, NodeId v) {
         return *hit;
       }
     }
+    ++readers_[view];  // until EndReadLocked below
   }
   // Model invocation outside the lock; concurrent misses on the same node
   // compute identical values and the insert below is idempotent.
@@ -163,6 +176,7 @@ std::vector<double> InferenceEngine::Logits(ViewId id, NodeId v) {
       model_->InferNode(*view, graph_->features(), v));
   {
     std::unique_lock<std::mutex> lock(mu_);
+    EndReadLocked(view);
     ++stats_.model_invocations;
     if (opts_.cache) {
       auto it = slots_.find(id);
@@ -203,6 +217,11 @@ void InferenceEngine::Warm(ViewId id, const std::vector<NodeId>& nodes) {
     for (NodeId v : missing) Logits(id, v);
     return;
   }
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    view = ViewOf(id);  // the slot may have been rebound meanwhile
+    ++readers_[view];   // until EndReadLocked below
+  }
   const Matrix rows = model_->InferNodes(*view, graph_->features(), missing);
   std::vector<LogitsPtr> packed;
   packed.reserve(missing.size());
@@ -210,6 +229,7 @@ void InferenceEngine::Warm(ViewId id, const std::vector<NodeId>& nodes) {
     packed.push_back(PackRow(rows, i));
   }
   std::unique_lock<std::mutex> lock(mu_);
+  EndReadLocked(view);
   ++stats_.model_invocations;
   stats_.batched_nodes += static_cast<int64_t>(missing.size());
   auto it = slots_.find(id);

@@ -33,6 +33,7 @@
 #ifndef ROBOGEXP_GNN_ENGINE_H_
 #define ROBOGEXP_GNN_ENGINE_H_
 
+#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -147,6 +148,8 @@ class InferenceEngine {
 
   /// Rebinds `id` to `view` and invalidates its cached logits. Call this
   /// whenever the underlying edge set changed (e.g. the witness mutated).
+  /// Returns once no model invocation reads the old view any more, so its
+  /// owner may destroy it.
   void Bind(ViewId id, const GraphView* view);
 
   /// Drops the slot's cached logits, keeping the binding.
@@ -173,7 +176,8 @@ class InferenceEngine {
   void InvalidateOverlays();
 
   /// Unbinds the slot (safe to call before the view's lifetime ends; the
-  /// slot id is not reused).
+  /// slot id is not reused). Returns once no model invocation reads the
+  /// view any more.
   void Release(ViewId id);
 
   /// Logits of node `v` on the slot's view; memoized.
@@ -239,6 +243,9 @@ class InferenceEngine {
 
   const GraphView* ViewOf(ViewId id) const;
 
+  /// Ends one read counted in readers_. Caller holds mu_.
+  void EndReadLocked(const GraphView* view);
+
   /// Rebuilds the overlay edge list from a canonical key vector.
   static std::vector<Edge> EdgesOfKeys(const std::vector<uint64_t>& keys);
 
@@ -267,6 +274,11 @@ class InferenceEngine {
 
   mutable std::mutex mu_;
   std::unordered_map<ViewId, Slot> slots_;
+  /// Views model invocations read outside mu_, with their reader counts;
+  /// Bind() and Release() wait on readers_done_ until the view they unbind
+  /// has none.
+  std::unordered_map<const GraphView*, int> readers_;
+  std::condition_variable readers_done_;
   std::unordered_map<std::vector<uint64_t>, OverlaySet, FlipKeyHash>
       overlay_cache_;
   /// (flip-set key, creation stamp) in insertion order — the FIFO eviction

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+
+#include "src/graph/local_subgraph.h"
+#include "src/util/thread_pool.h"
 
 namespace robogexp {
 
@@ -21,53 +23,27 @@ GatModel::GatModel(std::vector<Layer> layers) : layers_(std::move(layers)) {
 
 Matrix GatModel::InferSubset(const GraphView& view, const Matrix& features,
                              const std::vector<NodeId>& nodes) const {
-  const size_t n = nodes.size();
-  std::unordered_map<NodeId, size_t> local;
-  local.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) local[nodes[i]] = i;
-
-  std::vector<std::vector<size_t>> nbrs_local(n);
-  std::vector<NodeId> nbrs;
-  for (size_t i = 0; i < n; ++i) {
-    nbrs.clear();
-    view.AppendNeighbors(nodes[i], &nbrs);
-    std::sort(nbrs.begin(), nbrs.end());
-    for (NodeId w : nbrs) {
-      auto it = local.find(w);
-      if (it != local.end()) nbrs_local[i].push_back(it->second);
-    }
-  }
-
-  Matrix h(static_cast<int64_t>(n), features.cols());
-  for (size_t i = 0; i < n; ++i) {
-    const double* src = features.Row(nodes[i]);
-    double* dst = h.Row(static_cast<int64_t>(i));
-    for (int64_t c = 0; c < features.cols(); ++c) dst[c] = src[c];
-  }
+  LocalSubgraph sub(view, nodes);
+  sub.SortNeighborsById();
+  const int64_t n = static_cast<int64_t>(nodes.size());
+  Matrix h = features.GatherRows(nodes);
 
   for (size_t layer = 0; layer < layers_.size(); ++layer) {
     const Layer& L = layers_[layer];
     const Matrix t = Matrix::Multiply(h, L.w);  // n x out
     // Per-node attention scalars: src_u = a_src · t_u, dst_u = a_dst · t_u.
-    std::vector<double> attn_s(n, 0.0), attn_d(n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      const double* row = t.Row(static_cast<int64_t>(i));
-      double s = 0.0, d = 0.0;
-      for (int64_t c = 0; c < t.cols(); ++c) {
-        s += L.attn_src.at(0, c) * row[c];
-        d += L.attn_dst.at(0, c) * row[c];
-      }
-      attn_s[i] = s;
-      attn_d[i] = d;
-    }
-    Matrix z(static_cast<int64_t>(n), t.cols());
-    std::vector<double> weights;
-    for (size_t i = 0; i < n; ++i) {
+    const Matrix attn_s = Matrix::MultiplyTransposed(t, L.attn_src);
+    const Matrix attn_d = Matrix::MultiplyTransposed(t, L.attn_dst);
+    Matrix z(n, t.cols());
+    ParallelFor(DefaultPool(), n, [&](int64_t i) {
+      const std::span<const int32_t> nbrs =
+          sub.Neighbors(static_cast<size_t>(i));
       // Softmax over {i} ∪ local neighbors of i.
-      weights.clear();
-      weights.push_back(LeakyRelu(attn_s[i] + attn_d[i]));
-      for (size_t j : nbrs_local[i]) {
-        weights.push_back(LeakyRelu(attn_s[i] + attn_d[j]));
+      std::vector<double> weights;
+      weights.reserve(nbrs.size() + 1);
+      weights.push_back(LeakyRelu(attn_s.at(i, 0) + attn_d.at(i, 0)));
+      for (int32_t j : nbrs) {
+        weights.push_back(LeakyRelu(attn_s.at(i, 0) + attn_d.at(j, 0)));
       }
       double mx = weights[0];
       for (double wgt : weights) mx = std::max(mx, wgt);
@@ -77,16 +53,16 @@ Matrix GatModel::InferSubset(const GraphView& view, const Matrix& features,
         sum += wgt;
       }
       for (double& wgt : weights) wgt /= sum;
-      double* out = z.Row(static_cast<int64_t>(i));
-      const double* self_row = t.Row(static_cast<int64_t>(i));
+      double* out = z.Row(i);
+      const double* self_row = t.Row(i);
       for (int64_t c = 0; c < t.cols(); ++c) out[c] = weights[0] * self_row[c];
-      for (size_t p = 0; p < nbrs_local[i].size(); ++p) {
-        const double* row = t.Row(static_cast<int64_t>(nbrs_local[i][p]));
+      for (size_t p = 0; p < nbrs.size(); ++p) {
+        const double* row = t.Row(nbrs[p]);
         for (int64_t c = 0; c < t.cols(); ++c) {
           out[c] += weights[p + 1] * row[c];
         }
       }
-    }
+    }, /*min_grain=*/16);
     z.AddRowVectorInPlace(L.bias);
     if (layer + 1 < layers_.size()) z.ReluInPlace();
     h = std::move(z);

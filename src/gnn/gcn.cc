@@ -1,7 +1,9 @@
 #include "src/gnn/gcn.h"
 
 #include <cmath>
-#include <unordered_map>
+
+#include "src/graph/local_subgraph.h"
+#include "src/util/thread_pool.h"
 
 namespace robogexp {
 
@@ -16,49 +18,30 @@ GcnModel::GcnModel(std::vector<Matrix> weights, std::vector<Matrix> biases)
 
 Matrix GcnModel::InferSubset(const GraphView& view, const Matrix& features,
                              const std::vector<NodeId>& nodes) const {
-  const size_t n = nodes.size();
-  std::unordered_map<NodeId, size_t> local;
-  local.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) local[nodes[i]] = i;
-
-  // Local adjacency (restricted to the subset) and true normalized degrees.
-  std::vector<std::vector<size_t>> nbrs_local(n);
-  std::vector<double> inv_sqrt_deg(n);
-  std::vector<NodeId> nbrs;
-  for (size_t i = 0; i < n; ++i) {
-    const NodeId u = nodes[i];
-    inv_sqrt_deg[i] = 1.0 / std::sqrt(static_cast<double>(view.Degree(u) + 1));
-    nbrs.clear();
-    view.AppendNeighbors(u, &nbrs);
-    for (NodeId w : nbrs) {
-      auto it = local.find(w);
-      if (it != local.end()) nbrs_local[i].push_back(it->second);
-    }
+  const LocalSubgraph sub(view, nodes);
+  const int64_t n = static_cast<int64_t>(nodes.size());
+  // True normalized degrees (Â = A + I), not the subset's.
+  std::vector<double> inv_sqrt_deg(sub.size());
+  for (size_t i = 0; i < sub.size(); ++i) {
+    inv_sqrt_deg[i] = 1.0 / std::sqrt(static_cast<double>(sub.degree(i) + 1));
   }
-
-  // H = features rows of the subset.
-  Matrix h(static_cast<int64_t>(n), features.cols());
-  for (size_t i = 0; i < n; ++i) {
-    const double* src = features.Row(nodes[i]);
-    double* dst = h.Row(static_cast<int64_t>(i));
-    for (int64_t c = 0; c < features.cols(); ++c) dst[c] = src[c];
-  }
+  Matrix h = features.GatherRows(nodes);
 
   for (size_t layer = 0; layer < weights_.size(); ++layer) {
     const Matrix t = Matrix::Multiply(h, weights_[layer]);
-    Matrix agg(static_cast<int64_t>(n), t.cols());
-    for (size_t i = 0; i < n; ++i) {
-      double* out = agg.Row(static_cast<int64_t>(i));
+    Matrix agg(n, t.cols());
+    ParallelFor(DefaultPool(), n, [&](int64_t i) {
+      const double di = inv_sqrt_deg[static_cast<size_t>(i)];
+      double* out = agg.Row(i);
       // Self-loop term: Â includes I, normalization 1/d̂_i.
-      const double self_w = inv_sqrt_deg[i] * inv_sqrt_deg[i];
-      const double* self_row = t.Row(static_cast<int64_t>(i));
-      for (int64_t c = 0; c < t.cols(); ++c) out[c] = self_w * self_row[c];
-      for (size_t j : nbrs_local[i]) {
-        const double w = inv_sqrt_deg[i] * inv_sqrt_deg[j];
-        const double* row = t.Row(static_cast<int64_t>(j));
+      const double* self_row = t.Row(i);
+      for (int64_t c = 0; c < t.cols(); ++c) out[c] = di * di * self_row[c];
+      for (int32_t j : sub.Neighbors(static_cast<size_t>(i))) {
+        const double w = di * inv_sqrt_deg[static_cast<size_t>(j)];
+        const double* row = t.Row(j);
         for (int64_t c = 0; c < t.cols(); ++c) out[c] += w * row[c];
       }
-    }
+    }, /*min_grain=*/16);
     agg.AddRowVectorInPlace(biases_[layer]);
     if (layer + 1 < weights_.size()) agg.ReluInPlace();
     h = std::move(agg);

@@ -1,6 +1,7 @@
 #include "src/gnn/gin.h"
 
-#include <unordered_map>
+#include "src/graph/local_subgraph.h"
+#include "src/util/thread_pool.h"
 
 namespace robogexp {
 
@@ -14,42 +15,23 @@ GinModel::GinModel(std::vector<Matrix> weights, std::vector<Matrix> biases,
 
 Matrix GinModel::InferSubset(const GraphView& view, const Matrix& features,
                              const std::vector<NodeId>& nodes) const {
-  const size_t n = nodes.size();
-  std::unordered_map<NodeId, size_t> local;
-  local.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) local[nodes[i]] = i;
-
-  std::vector<std::vector<size_t>> nbrs_local(n);
-  std::vector<NodeId> nbrs;
-  for (size_t i = 0; i < n; ++i) {
-    nbrs.clear();
-    view.AppendNeighbors(nodes[i], &nbrs);
-    for (NodeId w : nbrs) {
-      auto it = local.find(w);
-      if (it != local.end()) nbrs_local[i].push_back(it->second);
-    }
-  }
-
-  Matrix h(static_cast<int64_t>(n), features.cols());
-  for (size_t i = 0; i < n; ++i) {
-    const double* src = features.Row(nodes[i]);
-    double* dst = h.Row(static_cast<int64_t>(i));
-    for (int64_t c = 0; c < features.cols(); ++c) dst[c] = src[c];
-  }
+  const LocalSubgraph sub(view, nodes);
+  const int64_t n = static_cast<int64_t>(nodes.size());
+  Matrix h = features.GatherRows(nodes);
 
   for (size_t layer = 0; layer < weights_.size(); ++layer) {
-    Matrix agg(static_cast<int64_t>(n), h.cols());
-    for (size_t i = 0; i < n; ++i) {
-      double* out = agg.Row(static_cast<int64_t>(i));
-      const double* self_row = h.Row(static_cast<int64_t>(i));
+    Matrix agg(n, h.cols());
+    ParallelFor(DefaultPool(), n, [&](int64_t i) {
+      double* out = agg.Row(i);
+      const double* self_row = h.Row(i);
       for (int64_t c = 0; c < h.cols(); ++c) {
         out[c] = (1.0 + epsilon_) * self_row[c];
       }
-      for (size_t j : nbrs_local[i]) {
-        const double* row = h.Row(static_cast<int64_t>(j));
+      for (int32_t j : sub.Neighbors(static_cast<size_t>(i))) {
+        const double* row = h.Row(j);
         for (int64_t c = 0; c < h.cols(); ++c) out[c] += row[c];
       }
-    }
+    }, /*min_grain=*/16);
     Matrix z = Matrix::Multiply(agg, weights_[layer]);
     z.AddRowVectorInPlace(biases_[layer]);
     if (layer + 1 < weights_.size()) z.ReluInPlace();

@@ -1,6 +1,8 @@
 #include "src/gnn/model.h"
 
-#include <unordered_map>
+#include <algorithm>
+
+#include "src/graph/local_subgraph.h"
 
 namespace robogexp {
 
@@ -30,22 +32,14 @@ Matrix GnnModel::InferNodes(const GraphView& view, const Matrix& features,
                             const std::vector<NodeId>& nodes) const {
   Matrix out(static_cast<int64_t>(nodes.size()), num_classes());
   if (nodes.empty()) return out;
-  if (nodes.size() == 1) {
-    const std::vector<double> logits = InferNode(view, features, nodes[0]);
-    for (int c = 0; c < num_classes(); ++c) {
-      out.at(0, c) = logits[static_cast<size_t>(c)];
-    }
-    return out;
-  }
   const std::vector<NodeId> ball = KHopBall(view, nodes, receptive_hops());
   const Matrix logits = InferSubset(view, features, ball);
-  std::unordered_map<NodeId, int64_t> row;
-  row.reserve(ball.size() * 2);
-  for (size_t i = 0; i < ball.size(); ++i) {
-    row[ball[i]] = static_cast<int64_t>(i);
-  }
+  // KHopBall lists the distinct seeds first; their rows lie in this prefix.
+  const size_t prefix = std::min(ball.size(), nodes.size());
+  const LocalSubgraph rows(
+      view, std::vector<NodeId>(ball.begin(), ball.begin() + prefix));
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const int64_t r = row.at(nodes[i]);
+    const int64_t r = rows.LocalId(nodes[i]);
     for (int c = 0; c < num_classes(); ++c) {
       out.at(static_cast<int64_t>(i), c) = logits.at(r, c);
     }

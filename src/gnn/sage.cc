@@ -1,6 +1,7 @@
 #include "src/gnn/sage.h"
 
-#include <unordered_map>
+#include "src/graph/local_subgraph.h"
+#include "src/util/thread_pool.h"
 
 namespace robogexp {
 
@@ -15,45 +16,25 @@ SageModel::SageModel(std::vector<Layer> layers) : layers_(std::move(layers)) {
 
 Matrix SageModel::InferSubset(const GraphView& view, const Matrix& features,
                               const std::vector<NodeId>& nodes) const {
-  const size_t n = nodes.size();
-  std::unordered_map<NodeId, size_t> local;
-  local.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) local[nodes[i]] = i;
-
-  std::vector<std::vector<size_t>> nbrs_local(n);
-  std::vector<double> inv_true_deg(n);
-  std::vector<NodeId> nbrs;
-  for (size_t i = 0; i < n; ++i) {
-    const int d = view.Degree(nodes[i]);
-    // Mean over the *true* neighborhood; isolated nodes aggregate zero.
-    inv_true_deg[i] = d > 0 ? 1.0 / static_cast<double>(d) : 0.0;
-    nbrs.clear();
-    view.AppendNeighbors(nodes[i], &nbrs);
-    for (NodeId w : nbrs) {
-      auto it = local.find(w);
-      if (it != local.end()) nbrs_local[i].push_back(it->second);
-    }
-  }
-
-  Matrix h(static_cast<int64_t>(n), features.cols());
-  for (size_t i = 0; i < n; ++i) {
-    const double* src = features.Row(nodes[i]);
-    double* dst = h.Row(static_cast<int64_t>(i));
-    for (int64_t c = 0; c < features.cols(); ++c) dst[c] = src[c];
-  }
+  const LocalSubgraph sub(view, nodes);
+  const int64_t n = static_cast<int64_t>(nodes.size());
+  Matrix h = features.GatherRows(nodes);
 
   for (size_t layer = 0; layer < layers_.size(); ++layer) {
     const Layer& L = layers_[layer];
     // Neighborhood means.
-    Matrix mean(static_cast<int64_t>(n), h.cols());
-    for (size_t i = 0; i < n; ++i) {
-      double* out = mean.Row(static_cast<int64_t>(i));
-      for (size_t j : nbrs_local[i]) {
-        const double* row = h.Row(static_cast<int64_t>(j));
+    Matrix mean(n, h.cols());
+    ParallelFor(DefaultPool(), n, [&](int64_t i) {
+      double* out = mean.Row(i);
+      for (int32_t j : sub.Neighbors(static_cast<size_t>(i))) {
+        const double* row = h.Row(j);
         for (int64_t c = 0; c < h.cols(); ++c) out[c] += row[c];
       }
-      for (int64_t c = 0; c < h.cols(); ++c) out[c] *= inv_true_deg[i];
-    }
+      // Mean over the *true* neighborhood; isolated nodes aggregate zero.
+      const int d = sub.degree(static_cast<size_t>(i));
+      const double inv = d > 0 ? 1.0 / static_cast<double>(d) : 0.0;
+      for (int64_t c = 0; c < h.cols(); ++c) out[c] *= inv;
+    }, /*min_grain=*/16);
     Matrix z = Matrix::Multiply(h, L.w_self);
     const Matrix zn = Matrix::Multiply(mean, L.w_neigh);
     z.AddInPlace(zn);

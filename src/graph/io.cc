@@ -1,5 +1,8 @@
 #include "src/graph/io.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -54,6 +57,7 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
   Graph graph;
   Matrix features;
   std::vector<Label> labels;
+  int64_t num_edges = 0;
   int num_classes = 0;
   bool header_seen = false;
 
@@ -64,9 +68,12 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
     ss >> tag;
     if (tag == "graph") {
       NodeId n;
-      int64_t m, nf;
-      ss >> n >> m >> nf >> num_classes;
-      if (!ss) return Status::InvalidArgument("LoadGraph: bad header");
+      int64_t nf;
+      ss >> n >> num_edges >> nf >> num_classes;
+      if (!ss || header_seen || n < 0 || num_edges < 0 || nf < 0 ||
+          num_classes < 0) {
+        return Status::InvalidArgument("LoadGraph: bad header");
+      }
       graph = Graph(n);
       features = Matrix(n, nf);
       labels.assign(static_cast<size_t>(n), 0);
@@ -75,30 +82,36 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
       return Status::InvalidArgument("LoadGraph: data before header");
     } else if (tag == "e") {
       NodeId u, v;
-      ss >> u >> v;
+      if (!(ss >> u >> v)) {
+        return Status::InvalidArgument("LoadGraph: bad edge");
+      }
       RCW_RETURN_IF_ERROR(graph.AddEdge(u, v));
     } else if (tag == "l") {
       NodeId u;
       Label l;
-      ss >> u >> l;
-      if (!graph.ValidNode(u)) {
-        return Status::InvalidArgument("LoadGraph: bad label node");
+      if (!(ss >> u >> l) || !graph.ValidNode(u) || l < 0 ||
+          l >= num_classes) {
+        return Status::InvalidArgument("LoadGraph: bad label");
       }
       labels[static_cast<size_t>(u)] = l;
     } else if (tag == "f") {
       NodeId u;
-      ss >> u;
-      if (!graph.ValidNode(u)) {
+      if (!(ss >> u) || !graph.ValidNode(u)) {
         return Status::InvalidArgument("LoadGraph: bad feature node");
       }
       std::string pair;
       while (ss >> pair) {
-        const size_t colon = pair.find(':');
-        if (colon == std::string::npos) {
+        const char* begin = pair.data();
+        const char* end = begin + pair.size();
+        const char* colon = std::find(begin, end, ':');
+        int64_t idx = -1;
+        double value = 0.0;
+        const auto i = std::from_chars(begin, colon, idx);
+        const auto v = std::from_chars(std::min(colon + 1, end), end, value);
+        if (colon == end || i.ec != std::errc() || i.ptr != colon ||
+            v.ec != std::errc() || v.ptr != end || !std::isfinite(value)) {
           return Status::InvalidArgument("LoadGraph: bad feature pair");
         }
-        const int64_t idx = std::stoll(pair.substr(0, colon));
-        const double value = std::stod(pair.substr(colon + 1));
         if (idx < 0 || idx >= features.cols()) {
           return Status::InvalidArgument("LoadGraph: feature index range");
         }
@@ -107,8 +120,7 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
     } else if (tag == "n") {
       NodeId u;
       std::string name;
-      ss >> u >> name;
-      if (!graph.ValidNode(u)) {
+      if (!(ss >> u >> name) || !graph.ValidNode(u)) {
         return Status::InvalidArgument("LoadGraph: bad name node");
       }
       graph.SetNodeName(u, name);
@@ -117,6 +129,9 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
     }
   }
   if (!header_seen) return Status::InvalidArgument("LoadGraph: empty file");
+  if (graph.num_edges() != num_edges) {
+    return Status::InvalidArgument("LoadGraph: edge count differs from header");
+  }
   if (features.cols() > 0) graph.SetFeatures(std::move(features));
   if (num_classes > 0) graph.SetLabels(std::move(labels), num_classes);
   return graph;

@@ -104,7 +104,8 @@ std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops) {
 }
 
 std::vector<NodeId> KHopBall(const GraphView& view,
-                             const std::vector<NodeId>& seeds, int hops) {
+                             const std::vector<NodeId>& seeds, int hops,
+                             int max_nodes) {
   std::vector<NodeId> order;
   std::unordered_set<NodeId> seen;
   std::deque<std::pair<NodeId, int>> frontier;
@@ -123,6 +124,9 @@ std::vector<NodeId> KHopBall(const GraphView& view,
     view.AppendNeighbors(u, &nbrs);
     std::sort(nbrs.begin(), nbrs.end());  // deterministic order
     for (NodeId w : nbrs) {
+      if (max_nodes > 0 && static_cast<int>(order.size()) >= max_nodes) {
+        return order;
+      }
       if (seen.insert(w).second) {
         order.push_back(w);
         frontier.emplace_back(w, d + 1);

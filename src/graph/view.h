@@ -120,9 +120,11 @@ class EdgeSubsetView final : public GraphView {
 /// (including `center`), in deterministic BFS order.
 std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops);
 
-/// Multi-source variant: ball around a set of seeds.
+/// Multi-source variant: ball around a set of seeds. With `max_nodes` > 0
+/// the search stops as soon as the ball holds that many nodes.
 std::vector<NodeId> KHopBall(const GraphView& view,
-                             const std::vector<NodeId>& seeds, int hops);
+                             const std::vector<NodeId>& seeds, int hops,
+                             int max_nodes = 0);
 
 /// All edges of `view` with both endpoints inside `nodes`.
 std::vector<Edge> InducedEdges(const GraphView& view,

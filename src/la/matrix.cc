@@ -73,6 +73,15 @@ Matrix Matrix::Transposed() const {
   return t;
 }
 
+Matrix Matrix::GatherRows(const std::vector<NodeId>& rows) const {
+  Matrix out(static_cast<int64_t>(rows.size()), cols_);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::copy(Row(rows[i]), Row(rows[i]) + cols_,
+              out.Row(static_cast<int64_t>(i)));
+  }
+  return out;
+}
+
 void Matrix::AddInPlace(const Matrix& other, double scale) {
   RCW_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += scale * other.data_[i];

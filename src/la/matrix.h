@@ -53,6 +53,9 @@ class Matrix {
 
   Matrix Transposed() const;
 
+  /// The listed rows, in the listed order.
+  Matrix GatherRows(const std::vector<NodeId>& rows) const;
+
   void AddInPlace(const Matrix& other, double scale = 1.0);
   void ScaleInPlace(double s);
 

@@ -60,35 +60,24 @@ std::vector<double> PprPowerIteration(const GraphView& view, NodeId source,
   // (P^T x)(u) = Σ_{w ∈ N̂(u)} x(w)/d̂(w)  (P is row-stochastic, so the row
   // of Π needs the transpose iteration; the column solver below handles
   // (I - αP)^{-1}).
-  const size_t n = subset.size();
-  std::unordered_map<NodeId, size_t> local;
-  local.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) local[subset[i]] = i;
-  auto src_it = local.find(source);
-  RCW_CHECK_MSG(src_it != local.end(),
+  const LocalSubgraph sub(view, subset);
+  const int32_t src = sub.LocalId(source);
+  RCW_CHECK_MSG(src != LocalSubgraph::kAbsent,
                 "PprPowerIteration: source not in subset");
-
-  std::vector<std::vector<size_t>> nbrs_local(n);
+  const size_t n = sub.size();
   std::vector<double> inv_deg(n);
-  std::vector<NodeId> nbrs;
   for (size_t i = 0; i < n; ++i) {
-    inv_deg[i] = 1.0 / static_cast<double>(view.Degree(subset[i]) + 1);
-    nbrs.clear();
-    view.AppendNeighbors(subset[i], &nbrs);
-    for (NodeId w : nbrs) {
-      auto it = local.find(w);
-      if (it != local.end()) nbrs_local[i].push_back(it->second);
-    }
+    inv_deg[i] = 1.0 / static_cast<double>(sub.degree(i) + 1);
   }
 
   std::vector<double> x(n, 0.0), next(n);
-  x[src_it->second] = 1.0;
+  x[static_cast<size_t>(src)] = 1.0;
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     double delta = 0.0;
     for (size_t i = 0; i < n; ++i) {
       double s = x[i] * inv_deg[i];  // self-loop
-      for (size_t j : nbrs_local[i]) s += x[j] * inv_deg[j];
-      next[i] = (i == src_it->second ? 1.0 : 0.0) + opts.alpha * s;
+      for (int32_t j : sub.Neighbors(i)) s += x[j] * inv_deg[j];
+      next[i] = (i == static_cast<size_t>(src) ? 1.0 : 0.0) + opts.alpha * s;
       delta = std::max(delta, std::fabs(next[i] - x[i]));
     }
     x.swap(next);
@@ -98,30 +87,15 @@ std::vector<double> PprPowerIteration(const GraphView& view, NodeId source,
   return x;
 }
 
-std::vector<double> SolveIMinusAlphaP(const GraphView& view,
-                                      const std::vector<NodeId>& subset,
+std::vector<double> SolveIMinusAlphaP(const LocalSubgraph& sub,
                                       const std::vector<double>& r,
                                       const PprOptions& opts) {
-  RCW_CHECK(subset.size() == r.size());
-  const size_t n = subset.size();
-  std::unordered_map<NodeId, size_t> local;
-  local.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) local[subset[i]] = i;
-
-  // Precompute local adjacency (neighbors inside the subset) and true
-  // inverse degrees d̂ = deg(view) + 1 (self-loop).
-  std::vector<std::vector<size_t>> nbrs_local(n);
+  RCW_CHECK(sub.size() == r.size());
+  const size_t n = sub.size();
+  // True inverse degrees d̂ = deg(view) + 1 (self-loop).
   std::vector<double> inv_deg(n);
-  std::vector<NodeId> nbrs;
   for (size_t i = 0; i < n; ++i) {
-    const NodeId u = subset[i];
-    inv_deg[i] = 1.0 / static_cast<double>(view.Degree(u) + 1);
-    nbrs.clear();
-    view.AppendNeighbors(u, &nbrs);
-    for (NodeId w : nbrs) {
-      auto it = local.find(w);
-      if (it != local.end()) nbrs_local[i].push_back(it->second);
-    }
+    inv_deg[i] = 1.0 / static_cast<double>(sub.degree(i) + 1);
   }
 
   // x = r + α P x  with  (P x)(u) = inv_deg(u) * (x(u) + Σ_{w∈N(u)} x(w)).
@@ -132,7 +106,7 @@ std::vector<double> SolveIMinusAlphaP(const GraphView& view,
     double delta = 0.0;
     for (size_t i = 0; i < n; ++i) {
       double s = x[i];  // self-loop
-      for (size_t j : nbrs_local[i]) s += x[j];
+      for (int32_t j : sub.Neighbors(i)) s += x[j];
       next[i] = r[i] + opts.alpha * inv_deg[i] * s;
       delta = std::max(delta, std::fabs(next[i] - x[i]));
     }
@@ -142,34 +116,49 @@ std::vector<double> SolveIMinusAlphaP(const GraphView& view,
   return x;
 }
 
-std::vector<NodeId> CappedBall(const GraphView& view, NodeId center, int hops,
-                               int max_nodes) {
-  std::vector<NodeId> order{center};
-  std::unordered_map<NodeId, int> seen{{center, 0}};
-  std::deque<NodeId> frontier{center};
-  std::vector<NodeId> nbrs;
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    const int d = seen[u];
-    if (d == hops) continue;
-    nbrs.clear();
-    view.AppendNeighbors(u, &nbrs);
-    // The sort stays: CappedBall's output ORDER is part of its contract
-    // (deterministic ball ordering for downstream local indexing), unlike
-    // PprPush where deposit order is immaterial.
-    std::sort(nbrs.begin(), nbrs.end());
-    for (NodeId w : nbrs) {
-      if (max_nodes > 0 && static_cast<int>(order.size()) >= max_nodes) {
-        return order;
-      }
-      if (seen.emplace(w, d + 1).second) {
-        order.push_back(w);
-        frontier.push_back(w);
-      }
+std::vector<EvidenceEdge> RankEvidenceEdges(const GraphView& view, NodeId v,
+                                            int hop_radius, int max_ball_nodes,
+                                            const Matrix& logits, Label l,
+                                            const PprOptions& opts) {
+  const LocalSubgraph ball(view,
+                           CappedBall(view, v, hop_radius, max_ball_nodes));
+  std::vector<double> r(ball.size());
+  for (size_t i = 0; i < ball.size(); ++i) r[i] = logits.at(ball.node(i), l);
+  const std::vector<double> x = SolveIMinusAlphaP(ball, r, opts);
+  auto mu = [&](size_t i) { return (x[i] - r[i]) / opts.alpha; };
+
+  // Hops from v = ball[0] over in-ball edges. The ball is in BFS order, so
+  // one pass in that order reaches each member from its BFS parent first.
+  std::vector<int> dist(ball.size(), 1 << 20);
+  dist[0] = 0;
+  for (size_t a = 0; a < ball.size(); ++a) {
+    for (int32_t b : ball.Neighbors(a)) {
+      dist[b] = std::min(dist[b], dist[a] + 1);
     }
   }
-  return order;
+
+  std::vector<EvidenceEdge> out;
+  for (size_t a = 0; a < ball.size(); ++a) {
+    for (int32_t j : ball.Neighbors(a)) {
+      const size_t b = static_cast<size_t>(j);
+      if (ball.node(b) < ball.node(a)) continue;  // each pair once, u < v
+      out.push_back({Edge(ball.node(a), ball.node(b)),
+                     std::max(x[b] - mu(a), x[a] - mu(b)),
+                     std::min(dist[a], dist[b])});
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const EvidenceEdge& a, const EvidenceEdge& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              if (a.score != b.score) return a.score > b.score;
+              return a.edge < b.edge;
+            });
+  return out;
+}
+
+std::vector<NodeId> CappedBall(const GraphView& view, NodeId center, int hops,
+                               int max_nodes) {
+  return KHopBall(view, std::vector<NodeId>{center}, hops, max_nodes);
 }
 
 }  // namespace robogexp

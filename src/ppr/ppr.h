@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/graph/local_subgraph.h"
 #include "src/graph/view.h"
 
 namespace robogexp {
@@ -41,12 +42,28 @@ std::vector<double> PprPowerIteration(const GraphView& view, NodeId source,
                                       const PprOptions& opts);
 
 /// Solves x = r + α P x, i.e. x = (I - αP)^{-1} r, by power iteration over
-/// the given subset of nodes (local indices follow `subset` order).
-/// `r` is indexed by position in `subset`.
-std::vector<double> SolveIMinusAlphaP(const GraphView& view,
-                                      const std::vector<NodeId>& subset,
+/// the nodes of `sub` (true degrees from its view; mass leaving the subset is
+/// dropped). `r` and the result are indexed by local id.
+std::vector<double> SolveIMinusAlphaP(const LocalSubgraph& sub,
                                       const std::vector<double>& r,
                                       const PprOptions& opts);
+
+/// An edge (a, b) of a ball with the class evidence it routes toward the
+/// center, max(x_b - μ_a, x_a - μ_b) on x = (I - αP)^{-1} r with
+/// neighbourhood means μ_u = (x_u - r_u)/α, and the hops from the center to
+/// its closer endpoint over in-ball edges.
+struct EvidenceEdge {
+  Edge edge;
+  double score;
+  int distance;
+};
+
+/// Every edge inside CappedBall(view, v, hop_radius, max_ball_nodes) with
+/// r = column `l` of `logits`, nearest first, then strongest, then by edge.
+std::vector<EvidenceEdge> RankEvidenceEdges(const GraphView& view, NodeId v,
+                                            int hop_radius, int max_ball_nodes,
+                                            const Matrix& logits, Label l,
+                                            const PprOptions& opts);
 
 /// BFS ball around `center` capped at `max_nodes` (used to localize PPR
 /// solves on very large graphs; cap <= 0 means unlimited).

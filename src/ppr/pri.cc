@@ -31,7 +31,8 @@ double PprContrastGain(const GraphView& view, NodeId v,
   const std::vector<NodeId> ball =
       CappedBall(view, v, opts.hop_radius, opts.max_ball_nodes);
   const std::vector<double> r = GatherLocal(r_global, ball);
-  const std::vector<double> x = SolveIMinusAlphaP(view, ball, r, opts.ppr);
+  const std::vector<double> x =
+      SolveIMinusAlphaP(LocalSubgraph(view, ball), r, opts.ppr);
   // ball[0] == v by construction.
   return (1.0 - opts.ppr.alpha) * x[0];
 }
@@ -43,49 +44,46 @@ PriResult Pri(const GraphView& base,
   // The solve ball is fixed on the undisturbed view for determinism;
   // removal-only disturbances can only shrink the reachable set, and the
   // paper's own search is localized around the explanation.
-  const std::vector<NodeId> ball =
-      CappedBall(base, v, opts.hop_radius, opts.max_ball_nodes);
-  const std::vector<double> r = GatherLocal(r_global, ball);
-  std::unordered_map<NodeId, size_t> local;
-  for (size_t i = 0; i < ball.size(); ++i) local[ball[i]] = i;
+  const LocalSubgraph ball(
+      base, CappedBall(base, v, opts.hop_radius, opts.max_ball_nodes));
+  const std::vector<double> r = GatherLocal(r_global, ball.nodes());
 
-  result.base_gain =
-      (1.0 - opts.ppr.alpha) *
-      SolveIMinusAlphaP(base, ball, r, opts.ppr)[0];
+  // `x` solves the system disturbed by `current`. Round 0's is the
+  // undisturbed one, so the base solve serves it.
+  std::vector<double> x = SolveIMinusAlphaP(ball, r, opts.ppr);
+  result.base_gain = (1.0 - opts.ppr.alpha) * x[0];
   result.disturbed_gain = result.base_gain;
 
   std::vector<Edge> current;  // E_i
   std::unordered_set<uint64_t> current_keys;
 
-  for (int round = 0; round < opts.max_rounds; ++round) {
+  int round = 0;
+  for (; round < opts.max_rounds; ++round) {
     result.rounds = round + 1;
-    const OverlayView overlay(&base, current);
-    const std::vector<double> x = SolveIMinusAlphaP(overlay, ball, r, opts.ppr);
+    // The ball as read on OverlayView(&base, current).
+    const LocalSubgraph sub = ball.Flipped(base, current);
+    if (round > 0) x = SolveIMinusAlphaP(sub, r, opts.ppr);
 
     // Score all candidate flips incident to ball nodes.
     std::vector<Candidate> improving;
-    std::vector<NodeId> nbrs;
-    for (size_t i = 0; i < ball.size(); ++i) {
-      const NodeId u = ball[i];
+    for (size_t i = 0; i < sub.size(); ++i) {
+      const NodeId u = sub.node(i);
       const double mu = (x[i] - r[i]) / opts.ppr.alpha;  // neighborhood mean
+      const std::span<const int32_t> nbrs = sub.Neighbors(i);
       // Removal candidates: current edges of the overlay inside the ball.
-      nbrs.clear();
-      overlay.AppendNeighbors(u, &nbrs);
-      std::sort(nbrs.begin(), nbrs.end());
       std::vector<Candidate> per_node;
-      for (NodeId w : nbrs) {
+      for (int32_t j : nbrs) {
+        const NodeId w = sub.node(static_cast<size_t>(j));
         if (w <= u) continue;  // score each undirected pair once (from u side)
-        auto it = local.find(w);
-        if (it == local.end()) continue;
         const uint64_t key = PairKey(u, w);
         if (protected_keys.count(key) > 0) continue;
-        const double s = -(x[it->second] - mu);  // removal: -(x_w - μ_u)
+        const double s = -(x[j] - mu);  // removal: -(x_w - μ_u)
         if (s > 1e-12) per_node.push_back({Edge(u, w), s});
       }
       if (opts.allow_insertions) {
         // Insertion candidates: top-x(w) ball nodes not adjacent to u.
-        std::vector<size_t> order(ball.size());
-        for (size_t j = 0; j < ball.size(); ++j) order[j] = j;
+        std::vector<size_t> order(sub.size());
+        for (size_t j = 0; j < sub.size(); ++j) order[j] = j;
         std::partial_sort(
             order.begin(),
             order.begin() +
@@ -96,8 +94,11 @@ PriResult Pri(const GraphView& base,
         int taken = 0;
         for (size_t j : order) {
           if (taken >= opts.insertion_fanout) break;
-          const NodeId w = ball[j];
-          if (w == u || overlay.HasEdge(u, w)) continue;
+          const NodeId w = sub.node(j);
+          const int32_t lj = static_cast<int32_t>(j);
+          if (w == u || std::find(nbrs.begin(), nbrs.end(), lj) != nbrs.end()) {
+            continue;
+          }
           const uint64_t key = PairKey(u, w);
           if (protected_keys.count(key) > 0) continue;
           const double s = x[j] - mu;  // insertion: +(x_w - μ_u)
@@ -168,10 +169,11 @@ PriResult Pri(const GraphView& base,
   }
 
   if (!current.empty()) {
-    const OverlayView overlay(&base, current);
-    result.disturbed_gain =
-        (1.0 - opts.ppr.alpha) *
-        SolveIMinusAlphaP(overlay, ball, r, opts.ppr)[0];
+    // Only a loop ended by the round cap leaves `x` a disturbance behind.
+    if (round == opts.max_rounds) {
+      x = SolveIMinusAlphaP(ball.Flipped(base, current), r, opts.ppr);
+    }
+    result.disturbed_gain = (1.0 - opts.ppr.alpha) * x[0];
     // Keep the disturbance only if it actually improves the adversarial
     // objective (guards against oscillation in the greedy update).
     if (result.disturbed_gain > result.base_gain) {

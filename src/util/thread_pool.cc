@@ -69,37 +69,40 @@ void ParallelFor(ThreadPool* pool, int64_t n,
     for (int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Completion is counted per *iteration*, not per shard task, and the
-  // calling thread drains iterations itself. This makes nesting safe: when
-  // every pool worker is blocked inside an outer ParallelFor, each inner
-  // call still finishes because its caller performs all the work, and the
-  // queued helper shards later wake up, find no iterations left, and exit.
-  // State is shared-owned so a helper shard that runs after the caller has
-  // returned touches no dangling stack frame.
+  // Threads claim `min_grain` consecutive indices per atomic step, count
+  // completion per index (not per shard task), and the calling thread drains
+  // claims itself. This makes nesting safe: when every pool worker is blocked
+  // inside an outer ParallelFor, each inner call still finishes because its
+  // caller performs all the work, and queued helper shards later wake up,
+  // find no indices left, and exit. State is shared-owned so a helper shard
+  // that runs after the caller has returned touches no dangling stack frame.
   struct State {
     std::atomic<int64_t> next{0};
     std::atomic<int64_t> done{0};
     int64_t n;
+    int64_t grain;
     std::function<void(int64_t)> fn;
     std::mutex mu;
     std::condition_variable cv;
   };
   auto state = std::make_shared<State>();
   state->n = n;
+  state->grain = std::max<int64_t>(1, min_grain);
   state->fn = fn;
   auto drain = [](const std::shared_ptr<State>& s) {
     for (;;) {
-      const int64_t i = s->next.fetch_add(1);
-      if (i >= s->n) break;
-      s->fn(i);
-      if (s->done.fetch_add(1) + 1 == s->n) {
+      const int64_t begin = s->next.fetch_add(s->grain);
+      if (begin >= s->n) break;
+      const int64_t end = std::min(s->n, begin + s->grain);
+      for (int64_t i = begin; i < end; ++i) s->fn(i);
+      if (s->done.fetch_add(end - begin) + (end - begin) == s->n) {
         std::unique_lock<std::mutex> lock(s->mu);
         s->cv.notify_all();
       }
     }
   };
   const int num_helpers = static_cast<int>(std::min<int64_t>(
-      pool->num_threads(), (n + min_grain - 1) / min_grain));
+      pool->num_threads(), (n + state->grain - 1) / state->grain));
   for (int s = 0; s < num_helpers; ++s) {
     pool->Submit([state, drain] { drain(state); });
   }

@@ -49,10 +49,12 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for i in [0, n) across `pool` (or inline when pool == nullptr
-/// or n is small). Blocks until all iterations finish. The calling thread
-/// participates in the work, so nested ParallelFor calls on the same pool
-/// (e.g. a parallel verifier whose inference kernels are themselves
-/// parallel) cannot deadlock even when every worker is busy.
+/// or n <= min_grain). Blocks until all iterations finish. Threads claim
+/// `min_grain` consecutive indices per atomic step, so per-row kernels pass
+/// a grain that amortizes the claim and coarse work items pass 1. The
+/// calling thread participates in the work, so nested ParallelFor calls on
+/// the same pool (e.g. a parallel verifier whose inference kernels are
+/// themselves parallel) cannot deadlock even when every worker is busy.
 void ParallelFor(ThreadPool* pool, int64_t n,
                  const std::function<void(int64_t)>& fn,
                  int64_t min_grain = 1);

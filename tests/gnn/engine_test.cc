@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <latch>
 #include <memory>
+#include <thread>
 
 #include "src/gnn/trainer.h"
 #include "tests/testing/fixtures.h"
@@ -172,6 +176,57 @@ TEST(InferenceEngine, BindInvalidatesCachedLogits) {
   // And the recomputed logits match direct inference on the new view.
   const auto direct = f.model->InferNode(b, f.graph->features(), 1);
   for (size_t c = 0; c < on_b.size(); ++c) EXPECT_EQ(on_b[c], direct[c]);
+}
+
+// Delegates to a trained model, but its single-node inference parks until
+// released, so a test can hold a model invocation in flight.
+class ParkingModel final : public GnnModel {
+ public:
+  explicit ParkingModel(const GnnModel* inner) : inner_(inner) {}
+  std::string name() const override { return "parking"; }
+  int num_layers() const override { return inner_->num_layers(); }
+  int num_classes() const override { return inner_->num_classes(); }
+  int64_t num_features() const override { return inner_->num_features(); }
+  Matrix InferSubset(const GraphView& view, const Matrix& features,
+                     const std::vector<NodeId>& nodes) const override {
+    return inner_->InferSubset(view, features, nodes);
+  }
+  std::vector<double> InferNode(const GraphView& view, const Matrix& features,
+                                NodeId v) const override {
+    entered.count_down();
+    release.wait();
+    return inner_->InferNode(view, features, v);
+  }
+  mutable std::latch entered{1};
+  mutable std::latch release{1};
+
+ private:
+  const GnnModel* inner_;
+};
+
+TEST(InferenceEngine, BindWaitsForInFlightReadsOfTheOldView) {
+  // The owner of a rebound view destroys it as soon as Bind returns (as
+  // WitnessEngineViews::Sync does while serving threads read the same
+  // engine), so Bind must outlast every model invocation still reading it.
+  const auto& f = testing::TwoCommunityGcn();
+  ParkingModel model(f.model.get());
+  InferenceEngine engine(&model, f.graph.get());
+  const OverlayView a(&engine.full_view(), {Edge(0, 1)});
+  const OverlayView b(&engine.full_view(), {Edge(0, 2)});
+  const InferenceEngine::ViewId id = engine.Register(&a);
+  std::thread reader([&] { engine.Logits(id, 1); });
+  model.entered.wait();
+  std::atomic<bool> bound{false};
+  std::thread binder([&] {
+    engine.Bind(id, &b);
+    bound = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(bound.load());
+  model.release.count_down();
+  reader.join();
+  binder.join();
+  EXPECT_TRUE(bound.load());
 }
 
 TEST(InferenceEngine, WarmOverlayBatchesAndMatchesPerNodeOverlayLogits) {

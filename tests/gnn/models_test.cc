@@ -69,37 +69,53 @@ TEST_P(AllModelsTest, InferenceIsDeterministic) {
   }
 }
 
-TEST_P(AllModelsTest, LocalizedInferNodeMatchesFullInference) {
-  const Graph g = testing::MakeSmallSbm();
-  const auto model = AllModels()[GetParam()].make(g);
-  const FullView full(&g);
-  const Matrix all = model->Infer(full, g.features());
-  // Message-passing models are exact; APPNP's push is exact to its residual
-  // threshold, so allow that slack.
-  const double tol = AllModels()[GetParam()].name == "APPNP" ? 5e-4 : 1e-6;
-  for (NodeId v : {NodeId{0}, NodeId{7}, NodeId{100}, NodeId{239}}) {
-    const std::vector<double> local = model->InferNode(full, g.features(), v);
-    for (int c = 0; c < model->num_classes(); ++c) {
-      EXPECT_NEAR(local[static_cast<size_t>(c)], all.at(v, c), tol)
-          << AllModels()[GetParam()].name << " node " << v << " class " << c;
+// Localized rows (InferNode, and InferNodes over a batch that repeats a
+// node) against the full-graph rows. Message-passing models are bitwise
+// exact; APPNP's push is exact to its residual threshold, so it gets that
+// slack.
+void ExpectLocalizedRowsMatchFull(const ModelCase& mc, const GnnModel& model,
+                                  const GraphView& view,
+                                  const Matrix& features) {
+  const Matrix all = model.Infer(view, features);
+  std::vector<NodeId> batch;
+  for (NodeId v = view.num_nodes() - 1; v >= 0; v -= 5) batch.push_back(v);
+  batch.push_back(batch.front());
+  const Matrix rows = model.InferNodes(view, features, batch);
+  auto expect_row = [&](double got, NodeId v, int c) {
+    if (mc.name == "APPNP") {
+      EXPECT_NEAR(got, all.at(v, c), 5e-4) << "node " << v << " class " << c;
+    } else {
+      EXPECT_EQ(got, all.at(v, c)) << "node " << v << " class " << c;
+    }
+  };
+  for (NodeId v = 0; v < view.num_nodes(); ++v) {
+    const std::vector<double> local = model.InferNode(view, features, v);
+    for (int c = 0; c < model.num_classes(); ++c) {
+      expect_row(local[static_cast<size_t>(c)], v, c);
+    }
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    for (int c = 0; c < model.num_classes(); ++c) {
+      expect_row(rows.at(static_cast<int64_t>(i), c), batch[i], c);
     }
   }
 }
 
+TEST_P(AllModelsTest, LocalizedInferNodeMatchesFullInference) {
+  const Graph g = testing::MakeSmallSbm();
+  const ModelCase mc = AllModels()[GetParam()];
+  const auto model = mc.make(g);
+  const FullView full(&g);
+  ExpectLocalizedRowsMatchFull(mc, *model, full, g.features());
+}
+
 TEST_P(AllModelsTest, LocalizedInferenceExactOnOverlays) {
   const Graph g = testing::MakeTwoCommunityGraph();
-  const auto model = AllModels()[GetParam()].make(g);
+  const ModelCase mc = AllModels()[GetParam()];
+  const auto model = mc.make(g);
   const FullView full(&g);
   const OverlayView overlay(&full, {Edge(0, 1), Edge(2, 8), Edge(1, 7)});
-  const Matrix all = model->Infer(overlay, g.features());
-  const double tol = AllModels()[GetParam()].name == "APPNP" ? 5e-4 : 1e-6;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const std::vector<double> local =
-        model->InferNode(overlay, g.features(), v);
-    for (int c = 0; c < model->num_classes(); ++c) {
-      EXPECT_NEAR(local[static_cast<size_t>(c)], all.at(v, c), tol);
-    }
-  }
+  ExpectLocalizedRowsMatchFull(mc, *model, overlay, g.features());
 }
 
 TEST_P(AllModelsTest, PredictIsArgmaxOfInferNode) {

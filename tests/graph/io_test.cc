@@ -51,14 +51,26 @@ TEST(GraphIo, MissingFileIsNotFound) {
 
 TEST(GraphIo, RejectsGarbage) {
   const std::string path = TempPath("garbage.rgx");
-  {
+  for (const char* text : {
+           "e 0 1\n",                          // data before header
+           "graph 2 0 3 2\nf 0 x:1\n",         // non-numeric feature index
+           "graph 2 0 3 2\nf 0 1:y\n",         // non-numeric feature value
+           "graph 2 0 3 2\nf 0 :1\n",          // empty feature index
+           "graph 2 0 3 2\nf 0 1:nan\n",       // non-finite feature value
+           "graph -4 0 3 2\n",                 // negative node count
+           "graph 3 1 0 2\ne 2\n",             // truncated edge line
+           "graph 2 0 0 2\nl 1 7\n",           // label outside the classes
+           "graph 2 0 0 2\nl 1\n",             // truncated label line
+           "graph 2 5 0 2\ne 0 1\n",           // header declares 5 edges
+           "graph 2 0 0 2\ngraph 2 0 0 2\n",   // second header
+       }) {
     std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("e 0 1\n", f);  // data before header
+    std::fputs(text, f);
     std::fclose(f);
+    const auto r = LoadGraph(path);
+    EXPECT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
   }
-  const auto r = LoadGraph(path);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(GraphIo, RejectsBadFeatureIndex) {

@@ -78,7 +78,7 @@ TEST(SolveIMinusAlphaP, SolvesLinearSystem) {
   std::vector<double> r(nodes.size(), 0.0);
   r[3] = 1.0;
   r[8] = -0.5;
-  const auto x = SolveIMinusAlphaP(full, nodes, r, opts);
+  const auto x = SolveIMinusAlphaP(LocalSubgraph(full, nodes), r, opts);
   // Residual check: x - αPx should equal r.
   for (size_t i = 0; i < nodes.size(); ++i) {
     const auto nbrs = full.Neighbors(nodes[i]);
@@ -93,8 +93,8 @@ TEST(SolveIMinusAlphaP, ZeroRhsGivesZero) {
   const Graph g = testing::MakePathGraph(6);
   const FullView full(&g);
   const auto nodes = AllNodes(full);
-  const auto x =
-      SolveIMinusAlphaP(full, nodes, std::vector<double>(6, 0.0), {});
+  const auto x = SolveIMinusAlphaP(LocalSubgraph(full, nodes),
+                                   std::vector<double>(6, 0.0), {});
   for (double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
@@ -105,8 +105,8 @@ TEST(SolveIMinusAlphaP, RespectsOverlayDisturbance) {
   const auto nodes = AllNodes(full);
   std::vector<double> r(6, 0.0);
   r[5] = 1.0;  // evidence at the far end
-  const auto x_full = SolveIMinusAlphaP(full, nodes, r, {});
-  const auto x_cut = SolveIMinusAlphaP(cut, nodes, r, {});
+  const auto x_full = SolveIMinusAlphaP(LocalSubgraph(full, nodes), r, {});
+  const auto x_cut = SolveIMinusAlphaP(LocalSubgraph(cut, nodes), r, {});
   // Node 0 is disconnected from the evidence by the cut: value drops to 0.
   EXPECT_GT(x_full[0], 0.0);
   EXPECT_NEAR(x_cut[0], 0.0, 1e-9);

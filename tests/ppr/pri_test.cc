@@ -130,6 +130,54 @@ TEST(Pri, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.disturbed_gain, b.disturbed_gain);
 }
 
+// (1-α)·x(v) from a direct solve over the base view's ball, on `view`.
+double DirectGain(const GraphView& base, const GraphView& view, NodeId v,
+                  const std::vector<double>& r_global, const PriOptions& opts) {
+  const std::vector<NodeId> ball =
+      CappedBall(base, v, opts.hop_radius, opts.max_ball_nodes);
+  std::vector<double> r(ball.size());
+  for (size_t i = 0; i < ball.size(); ++i) {
+    r[i] = r_global[static_cast<size_t>(ball[i])];
+  }
+  return (1.0 - opts.ppr.alpha) *
+         SolveIMinusAlphaP(LocalSubgraph(view, ball), r, opts.ppr)[0];
+}
+
+TEST(Pri, GainsEqualDirectSolvesWhetherCapOrFixpointEndsTheSearch) {
+  // Pri reuses its base solve as round 0 and re-solves after the loop only
+  // when the round cap ended it; both gains must still be bit-identical to
+  // solving the base and the disturbed system from scratch. Removal-only
+  // searches here end after 2 rounds, insertion searches after 2 to 4.
+  const Graph g = testing::MakeSmallSbm();
+  const FullView full(&g);
+  std::vector<double> r(static_cast<size_t>(g.num_nodes()));
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    r[static_cast<size_t>(u)] = (u % 3 == 0) ? -1.0 : 0.2;
+  }
+  for (bool insertions : {false, true}) {
+    const std::vector<NodeId> targets =
+        insertions ? std::vector<NodeId>{1, 4, 7, 8}
+                   : std::vector<NodeId>{5, 7, 40, 56};
+    for (int max_rounds : {1, 8}) {
+      for (NodeId v : targets) {
+        PriOptions opts;
+        opts.k = 4;
+        opts.local_budget = 2;
+        opts.allow_insertions = insertions;
+        opts.max_rounds = max_rounds;
+        const PriResult res = Pri(full, {}, v, r, opts);
+        ASSERT_FALSE(res.disturbance.empty()) << "node " << v;
+        if (max_rounds > 1) {
+          EXPECT_LT(res.rounds, max_rounds) << "node " << v;
+        }
+        EXPECT_EQ(res.base_gain, DirectGain(full, full, v, r, opts));
+        const OverlayView disturbed(&full, res.disturbance);
+        EXPECT_EQ(res.disturbed_gain, DirectGain(full, disturbed, v, r, opts));
+      }
+    }
+  }
+}
+
 TEST(PprContrastGain, MatchesPriBaseGain) {
   const Graph g = testing::MakePathGraph(8);
   const FullView full(&g);
@@ -138,7 +186,7 @@ TEST(PprContrastGain, MatchesPriBaseGain) {
   const auto r = ContrastAt(8, 7, 1.0);
   const double gain = PprContrastGain(full, NodeId{0}, r, opts);
   const PriResult res = Pri(full, {}, NodeId{0}, r, opts);
-  EXPECT_NEAR(gain, res.base_gain, 1e-10);
+  EXPECT_EQ(gain, res.base_gain);
   EXPECT_GT(gain, 0.0);
 }
 

@@ -397,7 +397,9 @@ void CheckpointEquivalence(DisturbanceModel mode, double insert_frac,
   // Restore-and-continue from EVERY boundary: the final state must be
   // identical to the oracle's — verdicts, unsecured set, and the per-node
   // outstanding budgets all survive the round trip through disk.
-  const std::string path = TempPath("equivalence.rwp");
+  // Per-seed file: ctest runs the two callers in parallel processes.
+  const std::string path =
+      TempPath("equivalence-" + std::to_string(seed) + ".rwp");
   for (size_t j = 0; j < checkpoints.size(); ++j) {
     ASSERT_TRUE(SavePortfolio(checkpoints[j], path).ok());
     const auto loaded = LoadPortfolio(path);

@@ -31,10 +31,22 @@ TEST(ThreadPool, WaitIsReusable) {
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, 1000, [&](int64_t i) { hits[static_cast<size_t>(i)]++; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // Claims take min_grain indices at a time; sweep the chunk boundaries.
+  for (int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    for (int64_t grain : {1, 16, 64}) {
+      for (int64_t n : {int64_t{1}, grain - 1, grain, grain + 1, int64_t{1000},
+                        int64_t{4099}}) {
+        std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+        ParallelFor(&pool, n,
+                    [&](int64_t i) { hits[static_cast<size_t>(i)]++; }, grain);
+        for (size_t i = 0; i < hits.size(); ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << "threads " << threads << " grain "
+                                       << grain << " n " << n << " index " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelFor, MatchesSerialSum) {
