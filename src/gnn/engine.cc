@@ -83,6 +83,7 @@ void InferenceEngine::Bind(ViewId id, const GraphView* view) {
   const GraphView* old = slot.view;
   slot.view = view;
   slot.logits.clear();
+  if (old == view) return;  // mutate-and-reuse: nothing to free
   readers_done_.wait(lock, [&] { return readers_.count(old) == 0; });
 }
 

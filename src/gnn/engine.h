@@ -148,8 +148,8 @@ class InferenceEngine {
 
   /// Rebinds `id` to `view` and invalidates its cached logits. Call this
   /// whenever the underlying edge set changed (e.g. the witness mutated).
-  /// Returns once no model invocation reads the old view any more, so its
-  /// owner may destroy it.
+  /// When `view` replaces another view, returns once no model invocation
+  /// reads the old one any more, so its owner may destroy it.
   void Bind(ViewId id, const GraphView* view);
 
   /// Drops the slot's cached logits, keeping the binding.

@@ -1,8 +1,7 @@
 #include "src/gnn/model.h"
 
 #include <algorithm>
-
-#include "src/graph/local_subgraph.h"
+#include <unordered_map>
 
 namespace robogexp {
 
@@ -35,11 +34,12 @@ Matrix GnnModel::InferNodes(const GraphView& view, const Matrix& features,
   const std::vector<NodeId> ball = KHopBall(view, nodes, receptive_hops());
   const Matrix logits = InferSubset(view, features, ball);
   // KHopBall lists the distinct seeds first; their rows lie in this prefix.
-  const size_t prefix = std::min(ball.size(), nodes.size());
-  const LocalSubgraph rows(
-      view, std::vector<NodeId>(ball.begin(), ball.begin() + prefix));
+  std::unordered_map<NodeId, int64_t> row;
+  for (size_t i = 0; i < std::min(ball.size(), nodes.size()); ++i) {
+    row.emplace(ball[i], static_cast<int64_t>(i));
+  }
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const int64_t r = rows.LocalId(nodes[i]);
+    const int64_t r = row.at(nodes[i]);
     for (int c = 0; c < num_classes(); ++c) {
       out.at(static_cast<int64_t>(i), c) = logits.at(r, c);
     }

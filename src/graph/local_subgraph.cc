@@ -7,12 +7,17 @@ namespace robogexp {
 
 LocalSubgraph::LocalSubgraph(const GraphView& view, std::vector<NodeId> nodes)
     : nodes_(std::move(nodes)),
-      index_(static_cast<size_t>(view.num_nodes()), kAbsent),
       degree_(nodes_.size()),
       offsets_(nodes_.size() + 1, 0) {
+  // Node id -> local id; kAbsent everywhere between builds.
+  thread_local std::vector<int32_t> scratch;
+  if (scratch.size() < static_cast<size_t>(view.num_nodes())) {
+    scratch.resize(static_cast<size_t>(view.num_nodes()), kAbsent);
+  }
+  int32_t* const index = scratch.data();
   for (size_t i = 0; i < nodes_.size(); ++i) {
     RCW_CHECK(nodes_[i] >= 0 && nodes_[i] < view.num_nodes());
-    index_[static_cast<size_t>(nodes_[i])] = static_cast<int32_t>(i);
+    index[nodes_[i]] = static_cast<int32_t>(i);
   }
   std::vector<NodeId> nbrs;
   for (size_t i = 0; i < nodes_.size(); ++i) {
@@ -20,11 +25,18 @@ LocalSubgraph::LocalSubgraph(const GraphView& view, std::vector<NodeId> nodes)
     nbrs.clear();
     view.AppendNeighbors(nodes_[i], &nbrs);
     for (NodeId w : nbrs) {
-      const int32_t j = index_[static_cast<size_t>(w)];
+      const int32_t j = index[w];
       if (j != kAbsent) neighbors_.push_back(j);
     }
     offsets_[i + 1] = neighbors_.size();
   }
+  for (NodeId u : nodes_) index[u] = kAbsent;
+}
+
+int32_t LocalSubgraph::LocalId(NodeId u) const {
+  const auto it = std::find(nodes_.begin(), nodes_.end(), u);
+  return it == nodes_.end() ? kAbsent
+                            : static_cast<int32_t>(it - nodes_.begin());
 }
 
 void LocalSubgraph::SortNeighborsById() {
@@ -33,48 +45,6 @@ void LocalSubgraph::SortNeighborsById() {
               neighbors_.begin() + static_cast<ptrdiff_t>(offsets_[i + 1]),
               [this](int32_t a, int32_t b) { return nodes_[a] < nodes_[b]; });
   }
-}
-
-LocalSubgraph LocalSubgraph::Flipped(const GraphView& view,
-                                     const std::vector<Edge>& flips) const {
-  LocalSubgraph out = *this;
-  std::vector<Edge> pairs = flips;  // OverlayView ignores a repeated pair
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  std::vector<uint64_t> removed;  // in-subset pairs; ascending, like `pairs`
-  std::vector<std::pair<int32_t, NodeId>> inserted;  // (member, neighbour)
-  for (const Edge& e : pairs) {
-    RCW_CHECK(e.u != e.v);
-    const bool removal = view.HasEdge(e.u, e.v);
-    const int32_t a = LocalId(e.u), b = LocalId(e.v);
-    for (int32_t m : {a, b}) {
-      if (m != kAbsent) out.degree_[static_cast<size_t>(m)] += removal ? -1 : 1;
-    }
-    if (a == kAbsent || b == kAbsent) continue;
-    if (removal) {
-      removed.push_back(e.Key());
-    } else {
-      inserted.emplace_back(a, e.v);
-      inserted.emplace_back(b, e.u);
-    }
-  }
-  std::sort(inserted.begin(), inserted.end());
-  out.neighbors_.clear();
-  auto ins = inserted.begin();
-  for (size_t i = 0; i < size(); ++i) {
-    for (int32_t j : Neighbors(i)) {
-      if (!std::binary_search(removed.begin(), removed.end(),
-                              PairKey(nodes_[i], nodes_[j]))) {
-        out.neighbors_.push_back(j);
-      }
-    }
-    for (; ins != inserted.end() && ins->first == static_cast<int32_t>(i);
-         ++ins) {
-      out.neighbors_.push_back(LocalId(ins->second));
-    }
-    out.offsets_[i + 1] = out.neighbors_.size();
-  }
-  return out;
 }
 
 }  // namespace robogexp

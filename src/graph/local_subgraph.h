@@ -18,20 +18,17 @@ class LocalSubgraph {
   static constexpr int32_t kAbsent = -1;
 
   /// Member i is nodes[i]; records its degree in `view` and its in-subset
-  /// neighbours in view.AppendNeighbors order. The id index is dense, so
-  /// building costs O(|V|) plus the members' adjacency.
+  /// neighbours in view.AppendNeighbors order. Building costs the members'
+  /// adjacency: ids map through a per-thread scratch array of |V| entries
+  /// that each build resets over its members.
   LocalSubgraph(const GraphView& view, std::vector<NodeId> nodes);
 
   size_t size() const { return nodes_.size(); }
   const std::vector<NodeId>& nodes() const { return nodes_; }
   NodeId node(size_t i) const { return nodes_[i]; }
 
-  /// Local id of `u`, or kAbsent.
-  int32_t LocalId(NodeId u) const {
-    return u >= 0 && static_cast<size_t>(u) < index_.size()
-               ? index_[static_cast<size_t>(u)]
-               : kAbsent;
-  }
+  /// Local id of `u`, or kAbsent. Scans the members.
+  int32_t LocalId(NodeId u) const;
 
   /// Degree of member i in the view, outside neighbours included.
   int degree(size_t i) const { return degree_[i]; }
@@ -45,15 +42,8 @@ class LocalSubgraph {
   /// Orders every neighbour list by ascending node id.
   void SortNeighborsById();
 
-  /// This subgraph as read on OverlayView(&view, flips), `view` being the
-  /// one it was built from: each list minus the removed pairs, then the
-  /// inserted neighbours by ascending id, as OverlayView enumerates them.
-  LocalSubgraph Flipped(const GraphView& view,
-                        const std::vector<Edge>& flips) const;
-
  private:
   std::vector<NodeId> nodes_;
-  std::vector<int32_t> index_;  // node id -> local id, or kAbsent
   std::vector<int> degree_;
   std::vector<size_t> offsets_;  // size() + 1 bounds into neighbors_
   std::vector<int32_t> neighbors_;

@@ -17,7 +17,7 @@ OverlayView::OverlayView(const GraphView* base, const std::vector<Edge>& flips)
   for (const Edge& e : flips) {
     RCW_CHECK(e.u != e.v);
     const uint64_t key = e.Key();
-    // A pair listed twice cancels out (flip is an involution).
+    // A pair listed twice flips once.
     if (base_->HasEdge(e.u, e.v)) {
       if (removed_keys_.count(key) > 0) continue;
       removed_keys_.insert(key);

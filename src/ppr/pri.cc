@@ -41,27 +41,23 @@ PriResult Pri(const GraphView& base,
               const std::unordered_set<uint64_t>& protected_keys, NodeId v,
               const std::vector<double>& r_global, const PriOptions& opts) {
   PriResult result;
-  // The solve ball is fixed on the undisturbed view for determinism;
-  // removal-only disturbances can only shrink the reachable set, and the
-  // paper's own search is localized around the explanation.
-  const LocalSubgraph ball(
-      base, CappedBall(base, v, opts.hop_radius, opts.max_ball_nodes));
-  const std::vector<double> r = GatherLocal(r_global, ball.nodes());
-
-  // `x` solves the system disturbed by `current`. Round 0's is the
-  // undisturbed one, so the base solve serves it.
-  std::vector<double> x = SolveIMinusAlphaP(ball, r, opts.ppr);
-  result.base_gain = (1.0 - opts.ppr.alpha) * x[0];
-  result.disturbed_gain = result.base_gain;
-
   std::vector<Edge> current;  // E_i
   std::unordered_set<uint64_t> current_keys;
+  // `sub` is the ball as read on OverlayView(&base, current). Its nodes are
+  // fixed on the undisturbed view for determinism; removal-only disturbances
+  // can only shrink the reachable set, and the paper's own search is
+  // localized around the explanation.
+  LocalSubgraph sub(base,
+                    CappedBall(base, v, opts.hop_radius, opts.max_ball_nodes));
+  const std::vector<double> r = GatherLocal(r_global, sub.nodes());
+  // `x` solves `sub`; the undisturbed solve serves round 0.
+  std::vector<double> x = SolveIMinusAlphaP(sub, r, opts.ppr);
+  result.base_gain = (1.0 - opts.ppr.alpha) * x[0];
+  result.disturbed_gain = result.base_gain;
 
   int round = 0;
   for (; round < opts.max_rounds; ++round) {
     result.rounds = round + 1;
-    // The ball as read on OverlayView(&base, current).
-    const LocalSubgraph sub = ball.Flipped(base, current);
     if (round > 0) x = SolveIMinusAlphaP(sub, r, opts.ppr);
 
     // Score all candidate flips incident to ball nodes.
@@ -166,13 +162,12 @@ PriResult Pri(const GraphView& base,
     if (next_sorted == current_sorted) break;  // fixpoint
     current = std::move(next);
     current_keys = std::move(next_keys);
+    sub = LocalSubgraph(OverlayView(&base, current), sub.nodes());
   }
 
   if (!current.empty()) {
     // Only a loop ended by the round cap leaves `x` a disturbance behind.
-    if (round == opts.max_rounds) {
-      x = SolveIMinusAlphaP(ball.Flipped(base, current), r, opts.ppr);
-    }
+    if (round == opts.max_rounds) x = SolveIMinusAlphaP(sub, r, opts.ppr);
     result.disturbed_gain = (1.0 - opts.ppr.alpha) * x[0];
     // Keep the disturbance only if it actually improves the adversarial
     // objective (guards against oscillation in the greedy update).

@@ -229,6 +229,30 @@ TEST(InferenceEngine, BindWaitsForInFlightReadsOfTheOldView) {
   EXPECT_TRUE(bound.load());
 }
 
+TEST(InferenceEngine, RebindingTheSameViewDoesNotWaitForItsReads) {
+  // Mutate-and-reuse rebinds a slot to its own view. Nothing is freed, so
+  // reads of it, which keep starting under serving load, must not hold Bind.
+  const auto& f = testing::TwoCommunityGcn();
+  ParkingModel model(f.model.get());
+  InferenceEngine engine(&model, f.graph.get());
+  const OverlayView a(&engine.full_view(), {Edge(0, 1)});
+  const InferenceEngine::ViewId id = engine.Register(&a);
+  std::thread reader([&] { engine.Logits(id, 1); });
+  model.entered.wait();
+  std::atomic<bool> bound{false};
+  std::thread binder([&] {
+    engine.Bind(id, &a);
+    bound = true;
+  });
+  for (int i = 0; i < 500 && !bound.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(bound.load());
+  model.release.count_down();
+  reader.join();
+  binder.join();
+}
+
 TEST(InferenceEngine, WarmOverlayBatchesAndMatchesPerNodeOverlayLogits) {
   const auto& f = testing::TwoCommunityGcn();
   InferenceEngine engine(f.model.get(), f.graph.get());
