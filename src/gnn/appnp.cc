@@ -1,19 +1,33 @@
 #include "src/gnn/appnp.h"
 
+#include "src/util/thread_pool.h"
+
 namespace robogexp {
 
 AppnpModel::AppnpModel(Matrix theta, Matrix bias, double alpha, PprOptions ppr)
     : theta_(std::move(theta)), bias_(std::move(bias)), alpha_(alpha),
       ppr_(ppr) {
-  RCW_CHECK(alpha_ > 0.0 && alpha_ < 1.0);
-  RCW_CHECK(bias_.rows() == 1 && bias_.cols() == theta_.cols());
+  const Status ok = CheckParameters(theta_, bias_, alpha_);
+  RCW_CHECK_MSG(ok.ok(), ok.message().c_str());
   ppr_.alpha = alpha_;
+}
+
+Status AppnpModel::CheckParameters(const Matrix& theta, const Matrix& bias,
+                                   double alpha) {
+  if (!(alpha > 0.0 && alpha < 1.0)) {
+    return Status::InvalidArgument("APPNP: alpha must lie in (0, 1)");
+  }
+  return CheckLayerShape("APPNP", 0, theta, theta.rows(), {&bias});
 }
 
 Matrix AppnpModel::InferSubset(const GraphView& view, const Matrix& features,
                                const std::vector<NodeId>& nodes) const {
-  // H = XΘ + b restricted to the subset.
-  Matrix h = Matrix::Multiply(features.GatherRows(nodes), theta_);
+  // H = XΘ + b restricted to the subset, reading feature rows in place.
+  RCW_CHECK(features.cols() == theta_.rows());
+  Matrix h(static_cast<int64_t>(nodes.size()), theta_.cols());
+  ParallelFor(DefaultPool(), h.rows(), [&](int64_t i) {
+    AddRowTimes(features.Row(nodes[static_cast<size_t>(i)]), theta_, h.Row(i));
+  }, /*min_grain=*/16);
   h.AddRowVectorInPlace(bias_);
 
   // Column-wise propagation: z_{:,c} = (1-α)(I - αP)^{-1} h_{:,c}.

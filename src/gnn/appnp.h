@@ -14,8 +14,13 @@ namespace robogexp {
 class AppnpModel final : public GnnModel {
  public:
   /// theta: F x C, bias: 1 x C. `alpha` is the walk-continuation probability
-  /// (teleport probability is 1-α).
+  /// (teleport probability is 1-α). Aborts unless CheckParameters accepts
+  /// them.
   AppnpModel(Matrix theta, Matrix bias, double alpha, PprOptions ppr = {});
+
+  /// OK when the shapes above hold with F, C > 0 and 0 < alpha < 1.
+  static Status CheckParameters(const Matrix& theta, const Matrix& bias,
+                                double alpha);
 
   std::string name() const override { return "APPNP"; }
   /// Propagation depth is unbounded; report the effective truncation depth.
@@ -61,8 +66,6 @@ class AppnpModel final : public GnnModel {
   double alpha() const { return alpha_; }
   const PprOptions& ppr_options() const { return ppr_; }
 
-  Matrix& mutable_theta() { return theta_; }
-  Matrix& mutable_bias() { return bias_; }
   const Matrix& theta() const { return theta_; }
   const Matrix& bias() const { return bias_; }
 

@@ -13,7 +13,7 @@
 ///    via Bind()/Invalidate(), or per-ball via InvalidateNodes() when a
 ///    streaming update touches only part of the base graph;
 ///  - batched misses: Warm() serves many nodes on one view with a single
-///    GnnModel::InferNodes call (one InferSubset over the union of the
+///    GnnModel::InferNodes call (one forward over the union of the
 ///    receptive balls) instead of one call per node; WarmOverlay() is the
 ///    same batched path for a tentative disturbance overlay;
 ///  - honest accounting: stats() separates logical node queries from actual

@@ -23,7 +23,12 @@ class GatModel final : public GnnModel {
     Matrix bias;     // 1 x out
   };
 
+  /// Aborts unless CheckParameters accepts `layers`.
   explicit GatModel(std::vector<Layer> layers);
+
+  /// OK when the layers chain (layer i's w is dims[i] x dims[i+1], every
+  /// width positive) and attn_src, attn_dst and bias are 1 x dims[i+1].
+  static Status CheckParameters(const std::vector<Layer>& layers);
 
   std::string name() const override { return "GAT"; }
   int num_layers() const override { return static_cast<int>(layers_.size()); }
@@ -36,6 +41,11 @@ class GatModel final : public GnnModel {
                      const std::vector<NodeId>& nodes) const override;
 
   const std::vector<Layer>& layers() const { return layers_; }
+
+ protected:
+  Matrix InferBall(const GraphView& view, const Matrix& features,
+                   const std::vector<NodeId>& ball,
+                   const std::vector<size_t>& hop_ends) const override;
 
  private:
   std::vector<Layer> layers_;

@@ -14,8 +14,13 @@ namespace robogexp {
 class GcnModel final : public GnnModel {
  public:
   /// `weights[i]` has shape dims[i] x dims[i+1]; `biases[i]` is 1 x dims[i+1].
-  /// dims[0] = num input features, dims.back() = num classes.
+  /// dims[0] = num input features, dims.back() = num classes. Aborts unless
+  /// CheckParameters accepts them.
   GcnModel(std::vector<Matrix> weights, std::vector<Matrix> biases);
+
+  /// OK when the shapes above hold with every width positive.
+  static Status CheckParameters(const std::vector<Matrix>& weights,
+                                const std::vector<Matrix>& biases);
 
   std::string name() const override { return "GCN"; }
   int num_layers() const override { return static_cast<int>(weights_.size()); }
@@ -27,10 +32,13 @@ class GcnModel final : public GnnModel {
   Matrix InferSubset(const GraphView& view, const Matrix& features,
                      const std::vector<NodeId>& nodes) const override;
 
-  std::vector<Matrix>& mutable_weights() { return weights_; }
-  std::vector<Matrix>& mutable_biases() { return biases_; }
   const std::vector<Matrix>& weights() const { return weights_; }
   const std::vector<Matrix>& biases() const { return biases_; }
+
+ protected:
+  Matrix InferBall(const GraphView& view, const Matrix& features,
+                   const std::vector<NodeId>& ball,
+                   const std::vector<size_t>& hop_ends) const override;
 
  private:
   std::vector<Matrix> weights_;

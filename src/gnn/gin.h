@@ -14,8 +14,14 @@ namespace robogexp {
 
 class GinModel final : public GnnModel {
  public:
+  /// Shapes as GcnModel's; aborts unless CheckParameters accepts them.
   GinModel(std::vector<Matrix> weights, std::vector<Matrix> biases,
            double epsilon);
+
+  /// OK when weights[i] is dims[i] x dims[i+1] and biases[i] is
+  /// 1 x dims[i+1], with every width positive.
+  static Status CheckParameters(const std::vector<Matrix>& weights,
+                                const std::vector<Matrix>& biases);
 
   std::string name() const override { return "GIN"; }
   int num_layers() const override { return static_cast<int>(weights_.size()); }
@@ -28,10 +34,13 @@ class GinModel final : public GnnModel {
                      const std::vector<NodeId>& nodes) const override;
 
   double epsilon() const { return epsilon_; }
-  std::vector<Matrix>& mutable_weights() { return weights_; }
-  std::vector<Matrix>& mutable_biases() { return biases_; }
   const std::vector<Matrix>& weights() const { return weights_; }
   const std::vector<Matrix>& biases() const { return biases_; }
+
+ protected:
+  Matrix InferBall(const GraphView& view, const Matrix& features,
+                   const std::vector<NodeId>& ball,
+                   const std::vector<size_t>& hop_ends) const override;
 
  private:
   std::vector<Matrix> weights_;

@@ -14,12 +14,14 @@ Matrix GnnModel::Infer(const GraphView& view, const Matrix& features) const {
 std::vector<double> GnnModel::InferNode(const GraphView& view,
                                         const Matrix& features,
                                         NodeId v) const {
-  const std::vector<NodeId> ball = KHopBall(view, v, receptive_hops());
-  // Row 0 of the subset result is read as v's logits; that is only sound
-  // because KHopBall guarantees the center is the first ball entry.
+  std::vector<size_t> hop_ends;
+  const std::vector<NodeId> ball =
+      KHopBall(view, v, receptive_hops(), &hop_ends);
+  // Row 0 of the result is read as v's logits; that is only sound because
+  // KHopBall guarantees the center is the first ball entry.
   RCW_CHECK_MSG(!ball.empty() && ball[0] == v,
                 "InferNode: KHopBall must place the center first");
-  const Matrix logits = InferSubset(view, features, ball);
+  const Matrix logits = InferBall(view, features, ball, hop_ends);
   std::vector<double> out(static_cast<size_t>(num_classes()));
   for (int c = 0; c < num_classes(); ++c) {
     out[static_cast<size_t>(c)] = logits.at(0, c);
@@ -31,11 +33,13 @@ Matrix GnnModel::InferNodes(const GraphView& view, const Matrix& features,
                             const std::vector<NodeId>& nodes) const {
   Matrix out(static_cast<int64_t>(nodes.size()), num_classes());
   if (nodes.empty()) return out;
-  const std::vector<NodeId> ball = KHopBall(view, nodes, receptive_hops());
-  const Matrix logits = InferSubset(view, features, ball);
+  std::vector<size_t> hop_ends;
+  const std::vector<NodeId> ball =
+      KHopBall(view, nodes, receptive_hops(), 0, &hop_ends);
+  const Matrix logits = InferBall(view, features, ball, hop_ends);
   // KHopBall lists the distinct seeds first; their rows lie in this prefix.
   std::unordered_map<NodeId, int64_t> row;
-  for (size_t i = 0; i < std::min(ball.size(), nodes.size()); ++i) {
+  for (size_t i = 0; i < hop_ends[0]; ++i) {
     row.emplace(ball[i], static_cast<int64_t>(i));
   }
   for (size_t i = 0; i < nodes.size(); ++i) {
@@ -45,6 +49,48 @@ Matrix GnnModel::InferNodes(const GraphView& view, const Matrix& features,
     }
   }
   return out;
+}
+
+Matrix GnnModel::InferBall(const GraphView& view, const Matrix& features,
+                           const std::vector<NodeId>& ball,
+                           const std::vector<size_t>& hop_ends) const {
+  (void)hop_ends;
+  return InferSubset(view, features, ball);
+}
+
+void GnnModel::CheckBall(const Matrix& features,
+                         const std::vector<NodeId>& ball,
+                         const std::vector<size_t>& hop_ends) const {
+  RCW_CHECK(features.cols() == num_features());
+  RCW_CHECK(hop_ends.size() == static_cast<size_t>(num_layers()) + 1);
+  RCW_CHECK(std::is_sorted(hop_ends.begin(), hop_ends.end()));
+  RCW_CHECK(hop_ends.back() == ball.size());
+}
+
+Status CheckLayerShape(const std::string& model, size_t layer, const Matrix& w,
+                       int64_t in,
+                       std::initializer_list<const Matrix*> row_vectors) {
+  const auto shape = [](const Matrix& m) {
+    return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
+  };
+  const auto error = [&](const std::string& what) {
+    return Status::InvalidArgument(model + " layer " + std::to_string(layer) +
+                                   ": " + what);
+  };
+  if (w.rows() <= 0 || w.cols() <= 0) {
+    return error("weights are " + shape(w) + ", expected positive widths");
+  }
+  if (w.rows() != in) {
+    return error("weights are " + shape(w) + " but the layer before outputs " +
+                 std::to_string(in) + " values");
+  }
+  for (const Matrix* v : row_vectors) {
+    if (v->rows() != 1 || v->cols() != w.cols()) {
+      return error("a bias or attention vector is " + shape(*v) +
+                   ", expected 1x" + std::to_string(w.cols()));
+    }
+  }
+  return Status::OK();
 }
 
 Label GnnModel::Predict(const GraphView& view, const Matrix& features,

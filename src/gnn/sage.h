@@ -19,7 +19,12 @@ class SageModel final : public GnnModel {
     Matrix bias;  // 1 x out
   };
 
+  /// Aborts unless CheckParameters accepts `layers`.
   explicit SageModel(std::vector<Layer> layers);
+
+  /// OK when the layers chain (layer i's w_self is dims[i] x dims[i+1], every
+  /// width positive), w_neigh has w_self's shape and bias is 1 x dims[i+1].
+  static Status CheckParameters(const std::vector<Layer>& layers);
 
   std::string name() const override { return "GraphSAGE"; }
   int num_layers() const override { return static_cast<int>(layers_.size()); }
@@ -33,8 +38,12 @@ class SageModel final : public GnnModel {
   Matrix InferSubset(const GraphView& view, const Matrix& features,
                      const std::vector<NodeId>& nodes) const override;
 
-  std::vector<Layer>& mutable_layers() { return layers_; }
   const std::vector<Layer>& layers() const { return layers_; }
+
+ protected:
+  Matrix InferBall(const GraphView& view, const Matrix& features,
+                   const std::vector<NodeId>& ball,
+                   const std::vector<size_t>& hop_ends) const override;
 
  private:
   std::vector<Layer> layers_;

@@ -1,7 +1,9 @@
 #include "src/gnn/serialize.h"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "src/gnn/appnp.h"
@@ -28,17 +30,22 @@ void WriteMatrix(std::ostream& os, const Matrix& m) {
 Status ReadMatrix(std::istream& is, Matrix* out) {
   std::string tag;
   int64_t rows, cols;
-  if (!(is >> tag >> rows >> cols) || tag != "matrix" || rows < 0 || cols < 0) {
+  if (!(is >> tag >> rows >> cols) || tag != "matrix" || rows < 0 || cols < 0 ||
+      (cols > 0 && rows > std::numeric_limits<int64_t>::max() / cols)) {
     return Status::InvalidArgument("LoadModel: bad matrix header");
   }
-  Matrix m(rows, cols);
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t c = 0; c < cols; ++c) {
-      if (!(is >> m.at(r, c))) {
-        return Status::InvalidArgument("LoadModel: truncated matrix");
-      }
-    }
+  // Entries are read as they come, so a header larger than the file fails
+  // at its end instead of allocating for entries that are not there.
+  std::vector<double> values;
+  double x = 0.0;
+  while (static_cast<int64_t>(values.size()) < rows * cols && is >> x) {
+    values.push_back(x);
   }
+  if (static_cast<int64_t>(values.size()) < rows * cols) {
+    return Status::InvalidArgument("LoadModel: truncated matrix");
+  }
+  Matrix m(rows, cols);
+  std::copy(values.begin(), values.end(), m.data());
   *out = std::move(m);
   return Status::OK();
 }
@@ -102,6 +109,10 @@ StatusOr<std::unique_ptr<GnnModel>> LoadModel(const std::string& path) {
     return Status::InvalidArgument("LoadModel: bad header");
   }
 
+  // Layers are read as they come, not pre-sized from the header's count, so
+  // a count larger than the file fails at the file's end. Shapes are checked
+  // before a model is built: its constructor aborts on what its
+  // CheckParameters rejects.
   if (type == "GCN" || type == "GIN") {
     int layers;
     double eps = 0.0;
@@ -111,16 +122,17 @@ StatusOr<std::unique_ptr<GnnModel>> LoadModel(const std::string& path) {
     if (type == "GIN" && !(f >> eps)) {
       return Status::InvalidArgument("LoadModel: bad epsilon");
     }
-    std::vector<Matrix> weights(static_cast<size_t>(layers));
-    std::vector<Matrix> biases(static_cast<size_t>(layers));
+    std::vector<Matrix> weights, biases;
     for (int i = 0; i < layers; ++i) {
-      RCW_RETURN_IF_ERROR(ReadMatrix(f, &weights[static_cast<size_t>(i)]));
-      RCW_RETURN_IF_ERROR(ReadMatrix(f, &biases[static_cast<size_t>(i)]));
+      RCW_RETURN_IF_ERROR(ReadMatrix(f, &weights.emplace_back()));
+      RCW_RETURN_IF_ERROR(ReadMatrix(f, &biases.emplace_back()));
     }
     if (type == "GCN") {
+      RCW_RETURN_IF_ERROR(GcnModel::CheckParameters(weights, biases));
       return std::unique_ptr<GnnModel>(
           new GcnModel(std::move(weights), std::move(biases)));
     }
+    RCW_RETURN_IF_ERROR(GinModel::CheckParameters(weights, biases));
     return std::unique_ptr<GnnModel>(
         new GinModel(std::move(weights), std::move(biases), eps));
   }
@@ -130,6 +142,7 @@ StatusOr<std::unique_ptr<GnnModel>> LoadModel(const std::string& path) {
     Matrix theta, bias;
     RCW_RETURN_IF_ERROR(ReadMatrix(f, &theta));
     RCW_RETURN_IF_ERROR(ReadMatrix(f, &bias));
+    RCW_RETURN_IF_ERROR(AppnpModel::CheckParameters(theta, bias, alpha));
     return std::unique_ptr<GnnModel>(
         new AppnpModel(std::move(theta), std::move(bias), alpha));
   }
@@ -138,12 +151,14 @@ StatusOr<std::unique_ptr<GnnModel>> LoadModel(const std::string& path) {
     if (!(f >> layers) || layers <= 0) {
       return Status::InvalidArgument("LoadModel: bad layer count");
     }
-    std::vector<SageModel::Layer> ls(static_cast<size_t>(layers));
-    for (auto& layer : ls) {
+    std::vector<SageModel::Layer> ls;
+    for (int i = 0; i < layers; ++i) {
+      SageModel::Layer& layer = ls.emplace_back();
       RCW_RETURN_IF_ERROR(ReadMatrix(f, &layer.w_self));
       RCW_RETURN_IF_ERROR(ReadMatrix(f, &layer.w_neigh));
       RCW_RETURN_IF_ERROR(ReadMatrix(f, &layer.bias));
     }
+    RCW_RETURN_IF_ERROR(SageModel::CheckParameters(ls));
     return std::unique_ptr<GnnModel>(new SageModel(std::move(ls)));
   }
   if (type == "GAT") {
@@ -151,13 +166,15 @@ StatusOr<std::unique_ptr<GnnModel>> LoadModel(const std::string& path) {
     if (!(f >> layers) || layers <= 0) {
       return Status::InvalidArgument("LoadModel: bad layer count");
     }
-    std::vector<GatModel::Layer> ls(static_cast<size_t>(layers));
-    for (auto& layer : ls) {
+    std::vector<GatModel::Layer> ls;
+    for (int i = 0; i < layers; ++i) {
+      GatModel::Layer& layer = ls.emplace_back();
       RCW_RETURN_IF_ERROR(ReadMatrix(f, &layer.w));
       RCW_RETURN_IF_ERROR(ReadMatrix(f, &layer.attn_src));
       RCW_RETURN_IF_ERROR(ReadMatrix(f, &layer.attn_dst));
       RCW_RETURN_IF_ERROR(ReadMatrix(f, &layer.bias));
     }
+    RCW_RETURN_IF_ERROR(GatModel::CheckParameters(ls));
     return std::unique_ptr<GnnModel>(new GatModel(std::move(ls)));
   }
   return Status::InvalidArgument("LoadModel: unknown model type " + type);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "src/util/atomic_file.h"
 
@@ -37,7 +38,11 @@ Status SaveGraph(const Graph& graph, const std::string& path) {
       f << "f " << u;
       for (int64_t c = 0; c < graph.num_features(); ++c) {
         const double v = graph.features().at(u, c);
-        if (v != 0.0) f << " " << c << ":" << v;
+        if (v == 0.0) continue;
+        // Shortest form that reads back to the same double.
+        char buf[32];
+        const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+        f << " " << c << ":" << std::string_view(buf, end);
       }
       f << "\n";
     }

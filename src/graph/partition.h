@@ -53,7 +53,7 @@ std::vector<int> FragmentOwners(NodeId num_nodes,
 ///
 /// Inference-preservation contract: for an L-layer message-passing model and
 /// a fragment built with `halo_hops >= L`, every owned node's L-hop BFS ball
-/// and every InferSubset read over that ball are identical on this view and
+/// and every forward read over that ball are identical on this view and
 /// on the whole graph — each path of length <= L from an owned node stays
 /// inside the halo, so no neighbor visible to the computation is filtered
 /// out. Per-fragment inference of owned nodes is therefore bit-identical to

@@ -99,13 +99,14 @@ void EdgeSubsetView::AppendNeighbors(NodeId u, std::vector<NodeId>* out) const {
   }
 }
 
-std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops) {
-  return KHopBall(view, std::vector<NodeId>{center}, hops);
+std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops,
+                             std::vector<size_t>* hop_ends) {
+  return KHopBall(view, std::vector<NodeId>{center}, hops, 0, hop_ends);
 }
 
 std::vector<NodeId> KHopBall(const GraphView& view,
                              const std::vector<NodeId>& seeds, int hops,
-                             int max_nodes) {
+                             int max_nodes, std::vector<size_t>* hop_ends) {
   std::vector<NodeId> order;
   std::unordered_set<NodeId> seen;
   std::deque<std::pair<NodeId, int>> frontier;
@@ -115,8 +116,17 @@ std::vector<NodeId> KHopBall(const GraphView& view,
       frontier.emplace_back(s, 0);
     }
   }
+  // ends[d] is the ball's size after its last entry at distance d so far;
+  // BFS appends by nondecreasing distance.
+  std::vector<size_t> ends;
+  if (hop_ends != nullptr) {
+    RCW_CHECK(hops >= 0);
+    ends.assign(static_cast<size_t>(hops) + 1, 0);
+    ends[0] = order.size();
+  }
   std::vector<NodeId> nbrs;
-  while (!frontier.empty()) {
+  bool capped = false;
+  while (!frontier.empty() && !capped) {
     auto [u, d] = frontier.front();
     frontier.pop_front();
     if (d == hops) continue;
@@ -125,13 +135,21 @@ std::vector<NodeId> KHopBall(const GraphView& view,
     std::sort(nbrs.begin(), nbrs.end());  // deterministic order
     for (NodeId w : nbrs) {
       if (max_nodes > 0 && static_cast<int>(order.size()) >= max_nodes) {
-        return order;
+        capped = true;
+        break;
       }
       if (seen.insert(w).second) {
         order.push_back(w);
         frontier.emplace_back(w, d + 1);
+        if (!ends.empty()) ends[static_cast<size_t>(d + 1)] = order.size();
       }
     }
+  }
+  if (hop_ends != nullptr) {
+    for (size_t h = 1; h < ends.size(); ++h) {
+      ends[h] = std::max(ends[h], ends[h - 1]);
+    }
+    *hop_ends = std::move(ends);
   }
   return order;
 }

@@ -117,14 +117,20 @@ class EdgeSubsetView final : public GraphView {
 };
 
 /// Collects the ball of nodes within `hops` of `center` under `view`
-/// (including `center`), in deterministic BFS order.
-std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops);
+/// (including `center`), in deterministic BFS order: by nondecreasing
+/// distance, so the nodes within h hops are a prefix. With `hop_ends`, also
+/// stores the hop boundaries: hops + 1 entries, (*hop_ends)[h] counting the
+/// ball's leading entries within h hops.
+std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops,
+                             std::vector<size_t>* hop_ends = nullptr);
 
-/// Multi-source variant: ball around a set of seeds. With `max_nodes` > 0
-/// the search stops as soon as the ball holds that many nodes.
+/// Multi-source variant: ball around a set of seeds, the distinct seeds first
+/// in listed order. With `max_nodes` > 0 the search stops as soon as the ball
+/// holds that many nodes; `hop_ends` then counts the entries returned.
 std::vector<NodeId> KHopBall(const GraphView& view,
                              const std::vector<NodeId>& seeds, int hops,
-                             int max_nodes = 0);
+                             int max_nodes = 0,
+                             std::vector<size_t>* hop_ends = nullptr);
 
 /// All edges of `view` with both endpoints inside `nodes`.
 std::vector<Edge> InducedEdges(const GraphView& view,

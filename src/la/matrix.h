@@ -53,9 +53,6 @@ class Matrix {
 
   Matrix Transposed() const;
 
-  /// The listed rows, in the listed order.
-  Matrix GatherRows(const std::vector<NodeId>& rows) const;
-
   void AddInPlace(const Matrix& other, double scale = 1.0);
   void ScaleInPlace(double s);
 
@@ -81,6 +78,11 @@ class Matrix {
   int64_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// out[0, b.cols()) += row[0, b.rows()) · b. Zero entries of `row` are
+/// skipped and the products accumulate in ascending k: Matrix::Multiply and
+/// the GNN forwards share this order, so their results agree bit for bit.
+void AddRowTimes(const double* row, const Matrix& b, double* out);
 
 /// Row-wise cross-entropy loss and gradient for softmax outputs.
 /// `probs` are post-softmax probabilities; rows listed in `targets` pairs

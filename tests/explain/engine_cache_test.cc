@@ -87,7 +87,7 @@ TEST(EngineCache, VerifyRcwAgreesAcrossCachedUncachedAndSharedEngines) {
 }
 
 TEST(EngineCache, CounterfactualReusesBaseLabelsFromFactualPass) {
-  // GCN: batched warms genuinely amortize (one union-ball InferSubset per
+  // GCN: batched warms genuinely amortize (one union-ball forward per
   // view), so the cached CW check costs three invocations total.
   const auto& f = testing::TwoCommunityGcn();
   const WitnessConfig cfg = Config(f, {2, 4}, 0);

@@ -105,6 +105,88 @@ TEST(ModelSerialize, GarbageIsRejected) {
   EXPECT_EQ(LoadModel(path).status().code(), StatusCode::kInvalidArgument);
 }
 
+// Each malformed model returns InvalidArgument instead of aborting in a
+// model constructor or allocating for what its headers claim.
+void ExpectRejected(const char* name, const std::string& text) {
+  const std::string path = TempPath(name);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+  }
+  const auto loaded = LoadModel(path);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << name << ": " << loaded.status().ToString();
+}
+
+TEST(ModelSerialize, RejectsLayersWhoseWidthsDoNotChain) {
+  // Layer 0 outputs 3 values; layer 1 expects 2.
+  ExpectRejected("gcn_chain.gnn",
+                 "gnnmodel GCN 2\n"
+                 "matrix 2 3\n1 2 3\n4 5 6\nmatrix 1 3\n0 0 0\n"
+                 "matrix 2 2\n1 0\n0 1\nmatrix 1 2\n0 0\n");
+  ExpectRejected("gin_chain.gnn",
+                 "gnnmodel GIN 2 0\n"
+                 "matrix 2 3\n1 2 3\n4 5 6\nmatrix 1 3\n0 0 0\n"
+                 "matrix 2 2\n1 0\n0 1\nmatrix 1 2\n0 0\n");
+  ExpectRejected("sage_chain.gnn",
+                 "gnnmodel SAGE 2\n"
+                 "matrix 2 3\n1 2 3\n4 5 6\nmatrix 2 3\n1 2 3\n4 5 6\n"
+                 "matrix 1 3\n0 0 0\n"
+                 "matrix 2 2\n1 0\n0 1\nmatrix 2 2\n1 0\n0 1\n"
+                 "matrix 1 2\n0 0\n");
+  ExpectRejected("gat_chain.gnn",
+                 "gnnmodel GAT 2\n"
+                 "matrix 2 3\n1 2 3\n4 5 6\nmatrix 1 3\n1 1 1\n"
+                 "matrix 1 3\n1 1 1\nmatrix 1 3\n0 0 0\n"
+                 "matrix 2 2\n1 0\n0 1\nmatrix 1 2\n1 1\n"
+                 "matrix 1 2\n1 1\nmatrix 1 2\n0 0\n");
+  // A zero width cannot chain into anything.
+  ExpectRejected("gcn_empty.gnn", "gnnmodel GCN 1\nmatrix 0 0\nmatrix 1 0\n");
+}
+
+TEST(ModelSerialize, RejectsBiasesAndAttentionVectorsThatAreNotOneByOut) {
+  ExpectRejected("gcn_bias_wide.gnn",
+                 "gnnmodel GCN 1\nmatrix 2 2\n1 0\n0 1\nmatrix 1 3\n0 0 0\n");
+  ExpectRejected("gin_bias_tall.gnn",
+                 "gnnmodel GIN 1 0.5\nmatrix 2 2\n1 0\n0 1\n"
+                 "matrix 2 2\n0 0\n0 0\n");
+  ExpectRejected("sage_bias.gnn",
+                 "gnnmodel SAGE 1\nmatrix 2 2\n1 0\n0 1\n"
+                 "matrix 2 2\n1 0\n0 1\nmatrix 1 1\n0\n");
+  ExpectRejected("gat_attn.gnn",
+                 "gnnmodel GAT 1\nmatrix 2 2\n1 0\n0 1\nmatrix 1 2\n1 1\n"
+                 "matrix 1 1\n1\nmatrix 1 2\n0 0\n");
+  ExpectRejected("appnp_bias.gnn",
+                 "gnnmodel APPNP 0.85\nmatrix 2 2\n1 0\n0 1\n"
+                 "matrix 1 3\n0 0 0\n");
+  ExpectRejected("appnp_alpha.gnn",
+                 "gnnmodel APPNP 1.5\nmatrix 2 2\n1 0\n0 1\n"
+                 "matrix 1 2\n0 0\n");
+}
+
+TEST(ModelSerialize, RejectsSageNeighbourWeightsShapedUnlikeSelfWeights) {
+  ExpectRejected("sage_neigh.gnn",
+                 "gnnmodel SAGE 1\nmatrix 2 2\n1 0\n0 1\n"
+                 "matrix 3 2\n1 0\n0 1\n1 1\nmatrix 1 2\n0 0\n");
+}
+
+TEST(ModelSerialize, RejectsHeadersThatClaimMoreThanTheFileHolds) {
+  // Read as they come: neither count is allocated up front.
+  const std::string layer = "matrix 2 2\n1 0\n0 1\nmatrix 1 2\n0 0\n";
+  ExpectRejected("gcn_layers.gnn", "gnnmodel GCN 1000000000\n" + layer);
+  ExpectRejected("gin_layers.gnn", "gnnmodel GIN 1000000000 0\n" + layer);
+  ExpectRejected("sage_layers.gnn",
+                 "gnnmodel SAGE 1000000000\nmatrix 2 2\n1 0\n0 1\n"
+                 "matrix 2 2\n1 0\n0 1\nmatrix 1 2\n0 0\n");
+  ExpectRejected("gat_layers.gnn", "gnnmodel GAT 1000000000\n");
+  ExpectRejected("gcn_entries.gnn",
+                 "gnnmodel GCN 1\nmatrix 1000000000 1000000000\n1 2\n");
+  ExpectRejected("gcn_overflow.gnn",
+                 "gnnmodel GCN 1\nmatrix 4611686018427387904 4\n1\n");
+}
+
 TEST(TrainGin, ReachesHighTrainAccuracy) {
   const Graph g = testing::MakeSmallSbm();
   TrainOptions opts;

@@ -58,15 +58,25 @@ TEST(Matrix, MultiplyTransposedAgrees) {
 
 TEST(Matrix, LargeParallelMultiplyMatchesSerialReference) {
   Rng rng(7);
-  const Matrix a = Matrix::Xavier(120, 60, &rng);
-  const Matrix b = Matrix::Xavier(60, 40, &rng);
+  // 150 inner columns span three of AddRowTimes' 64-entry blocks; a third
+  // of the entries are zeros, half of them negative, as in sparse features
+  // and ReLU outputs.
+  Matrix a = Matrix::Xavier(120, 150, &rng);
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t p = i % 3; p < a.cols(); p += 3) {
+      a.at(i, p) = p % 2 == 0 ? 0.0 : -0.0;
+    }
+  }
+  const Matrix b = Matrix::Xavier(150, 40, &rng);
   const Matrix c = Matrix::Multiply(a, b);
-  // Serial reference on a few sampled entries.
-  for (int64_t i = 0; i < 120; i += 17) {
-    for (int64_t j = 0; j < 40; j += 7) {
+  // Serial reference: the nonzero products in ascending k, bit for bit.
+  for (int64_t i = 0; i < 120; ++i) {
+    for (int64_t j = 0; j < 40; ++j) {
       double s = 0;
-      for (int64_t p = 0; p < 60; ++p) s += a.at(i, p) * b.at(p, j);
-      EXPECT_NEAR(c.at(i, j), s, 1e-10);
+      for (int64_t p = 0; p < 150; ++p) {
+        if (a.at(i, p) != 0.0) s += a.at(i, p) * b.at(p, j);
+      }
+      EXPECT_EQ(c.at(i, j), s) << i << "," << j;
     }
   }
 }
