@@ -112,15 +112,16 @@ void BM_Pri(benchmark::State& state) {
   const Workload& w = CachedCiteSeer();
   const FullView full(w.graph.get());
   const Matrix base = w.model->BaseLogits(full, w.graph->features());
-  std::vector<double> r(static_cast<size_t>(w.graph->num_nodes()));
-  for (NodeId u = 0; u < w.graph->num_nodes(); ++u) {
-    r[static_cast<size_t>(u)] = base.at(u, 1) - base.at(u, 0);
+  const std::vector<NodeId> ball = CappedBall(full, NodeId{5}, 3, 20000);
+  std::vector<double> r(ball.size());
+  for (size_t i = 0; i < ball.size(); ++i) {
+    r[i] = base.at(ball[i], 1) - base.at(ball[i], 0);
   }
   PriOptions opts;
   opts.k = static_cast<int>(state.range(0));
   opts.local_budget = 2;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Pri(full, {}, NodeId{5}, r, opts));
+    benchmark::DoNotOptimize(Pri(full, {}, ball, r, opts));
   }
 }
 BENCHMARK(BM_Pri)->Arg(4)->Arg(20);

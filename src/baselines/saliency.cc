@@ -14,10 +14,13 @@ std::vector<Edge> SalientEdges(const GraphView& view, const Matrix& features,
   ppr.alpha = alpha;
   // Nearest edges first: like a gradient-based mask, saliency concentrates
   // on the test node's computation graph.
+  const std::vector<NodeId> ball =
+      CappedBall(view, v, hop_radius, max_ball_nodes);
+  const Matrix logits = model.BaseLogits(view, features);
+  std::vector<double> r(ball.size());
+  for (size_t i = 0; i < ball.size(); ++i) r[i] = logits.at(ball[i], l);
   std::vector<Edge> out;
-  for (const EvidenceEdge& s :
-       RankEvidenceEdges(view, v, hop_radius, max_ball_nodes,
-                         model.BaseLogits(view, features), l, ppr)) {
+  for (const EvidenceEdge& s : RankEvidenceEdges(view, ball, r, ppr)) {
     if (static_cast<int>(out.size()) >= pool) break;
     out.push_back(s.edge);
   }

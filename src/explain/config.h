@@ -53,11 +53,14 @@ struct WitnessConfig {
     PriOptions opts;
     opts.k = k;
     opts.local_budget = local_budget;
-    opts.hop_radius = hop_radius;
-    opts.max_ball_nodes = max_ball_nodes;
     opts.allow_insertions = disturbance == DisturbanceModel::kFlip;
     opts.ppr = ppr;
     return opts;
+  }
+
+  /// The ball PRI and expansion search around `v` on `view`.
+  std::vector<NodeId> SearchBall(const GraphView& view, NodeId v) const {
+    return CappedBall(view, v, hop_radius, max_ball_nodes);
   }
 
   bool Valid() const {

@@ -47,7 +47,6 @@ void AccumulateGen(const GenerateStats& in, GenerateStats* out) {
 
 std::vector<NodeId> ParaSecureNodes(const WitnessConfig& cfg,
                                     const std::vector<NodeId>& nodes,
-                                    const Matrix& base_logits,
                                     const GenerateOptions& opts,
                                     int num_threads, Witness* witness,
                                     GenerateStats* stats) {
@@ -72,9 +71,8 @@ std::vector<NodeId> ParaSecureNodes(const WitnessConfig& cfg,
         const EngineStats before = engine.stats();
         WitnessEngineViews views(&engine);
         for (size_t i = gi; i < nodes.size(); i += n_groups) {
-          if (!detail::SecureNode(cfg, nodes[i], base_logits, opts, scope,
-                                  &engine, &views, &locals[gi],
-                                  &local_stats[gi])) {
+          if (!detail::SecureNode(cfg, nodes[i], opts, scope, &engine, &views,
+                                  &locals[gi], &local_stats[gi])) {
             local_failed[gi].push_back(nodes[i]);
           }
         }
@@ -114,8 +112,8 @@ std::vector<NodeId> ParaSecureNodes(const WitnessConfig& cfg,
   }
   std::vector<NodeId> failed;
   for (NodeId v : retry) {
-    if (!detail::SecureNode(cfg, v, base_logits, opts, scope, &coord,
-                            &coord_views, witness, stats)) {
+    if (!detail::SecureNode(cfg, v, opts, scope, &coord, &coord_views, witness,
+                            stats)) {
       failed.push_back(v);
     }
   }
@@ -160,8 +158,6 @@ GenerateResult ParaGenerateRcw(const WitnessConfig& cfg,
   }
 
   const FullView full(cfg.graph);
-  const Matrix base_logits =
-      cfg.model->BaseLogits(full, cfg.graph->features());
 
   // -- Parallel phase: each worker secures its own test nodes on a private
   // inference engine (its caches mirror the fragment's working set and need
@@ -179,6 +175,9 @@ GenerateResult ParaGenerateRcw(const WitnessConfig& cfg,
                              EngineOptionsFor(opts.gen));
       const EngineStats engine_before = engine.stats();
       WitnessEngineViews views(&engine);
+      // The evidence balls hold the nodes, so the second warm hits unless
+      // the model's evidence is not engine rows (APPNP).
+      WarmEvidence(cfg, &engine, nodes_per_fragment[f]);
       engine.Warm(InferenceEngine::kFullView, nodes_per_fragment[f]);
 
       std::unordered_set<NodeId> halo(frag.nodes_with_halo.begin(),
@@ -194,8 +193,7 @@ GenerateResult ParaGenerateRcw(const WitnessConfig& cfg,
         out.witness.AddNode(v);
         // A node whose search ball stays inside the halo can be fully
         // decided locally (the halo replicates its receptive field).
-        const std::vector<NodeId> ball =
-            CappedBall(full, v, cfg.hop_radius, cfg.max_ball_nodes);
+        const std::vector<NodeId> ball = cfg.SearchBall(full, v);
         bool contained = true;
         for (NodeId u : ball) {
           if (halo.count(u) == 0) {
@@ -203,9 +201,8 @@ GenerateResult ParaGenerateRcw(const WitnessConfig& cfg,
             break;
           }
         }
-        const bool ok =
-            detail::SecureNode(cfg, v, base_logits, opts.gen, scope, &engine,
-                               &views, &out.witness, &out.stats);
+        const bool ok = detail::SecureNode(cfg, v, opts.gen, scope, &engine,
+                                           &views, &out.witness, &out.stats);
         if (!ok) {
           // Local scope may simply be too tight; escalate to coordinator.
           out.needs_global.push_back(v);
@@ -260,10 +257,10 @@ GenerateResult ParaGenerateRcw(const WitnessConfig& cfg,
 
   detail::NodeWorkScope global_scope;  // unrestricted
   std::unordered_set<NodeId> unsecured;
+  WarmEvidence(cfg, &coord_engine, reverify);
   for (NodeId v : reverify) {
-    if (!detail::SecureNode(cfg, v, base_logits, opts.gen, global_scope,
-                            &coord_engine, &coord_views, &result.witness,
-                            &ps->gen)) {
+    if (!detail::SecureNode(cfg, v, opts.gen, global_scope, &coord_engine,
+                            &coord_views, &result.witness, &ps->gen)) {
       if (opts.gen.skip_unsecurable) {
         unsecured.insert(v);
         continue;
@@ -307,9 +304,8 @@ GenerateResult ParaGenerateRcw(const WitnessConfig& cfg,
   for (NodeId v : cfg.test_nodes) {
     if (unsecured.count(v) > 0) continue;
     if (locally_verified.count(v) > 0) continue;
-    if (!detail::SecureNode(cfg, v, base_logits, opts.gen, global_scope,
-                            &coord_engine, &coord_views, &result.witness,
-                            &ps->gen)) {
+    if (!detail::SecureNode(cfg, v, opts.gen, global_scope, &coord_engine,
+                            &coord_views, &result.witness, &ps->gen)) {
       if (opts.gen.skip_unsecurable) {
         unsecured.insert(v);
         continue;

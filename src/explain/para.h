@@ -55,7 +55,6 @@ GenerateResult ParaGenerateRcw(const WitnessConfig& cfg,
 /// nodes that could not be secured (sorted).
 std::vector<NodeId> ParaSecureNodes(const WitnessConfig& cfg,
                                     const std::vector<NodeId>& nodes,
-                                    const Matrix& base_logits,
                                     const GenerateOptions& opts,
                                     int num_threads, Witness* witness,
                                     GenerateStats* stats);

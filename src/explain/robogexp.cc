@@ -26,15 +26,15 @@ namespace {
 /// reaching v, and the counterfactual side needs G ∖ Gs to lose an edge-cut
 /// around v. Candidates are therefore ordered by hop distance from v first
 /// (v's incident edges form the natural cut) and by routed class-l evidence
-/// second. No inference happens here — the class-l evidence is read from the
-/// base logits the caller computed once per generation.
+/// second. No inference happens here: `r` is the class-l column of the
+/// evidence rows of v's search ball `ball`, read once per SecureNode call.
 std::vector<EvidenceEdge> RankExpansionCandidates(
-    const WitnessConfig& cfg, const FullView& full, NodeId v, Label l,
-    const Matrix& base_logits, const Witness& gs, const NodeWorkScope& scope) {
+    const WitnessConfig& cfg, const FullView& full,
+    const std::vector<NodeId>& ball, const std::vector<double>& r,
+    const Witness& gs, const NodeWorkScope& scope) {
   PprOptions ppr = cfg.ppr;
   ppr.alpha = ResolveAlpha(cfg);
-  std::vector<EvidenceEdge> out = RankEvidenceEdges(
-      full, v, cfg.hop_radius, cfg.max_ball_nodes, base_logits, l, ppr);
+  std::vector<EvidenceEdge> out = RankEvidenceEdges(full, ball, r, ppr);
   std::erase_if(out, [&](const EvidenceEdge& c) {
     const Edge& e = c.edge;
     return gs.HasEdge(e.u, e.v) ||
@@ -54,24 +54,6 @@ bool IsCwForNode(InferenceEngine* engine, WitnessEngineViews* views, NodeId v,
   views->Sync(gs);
   if (engine->Predict(views->sub_id(), v) != l) return false;
   return engine->Predict(views->removed_id(), v) != l;
-}
-
-std::vector<Label> ContrastOrder(const WitnessConfig& cfg,
-                                 const std::vector<double>& logits, Label l) {
-  std::vector<Label> classes;
-  for (int c = 0; c < cfg.model->num_classes(); ++c) {
-    if (c != l) classes.push_back(c);
-  }
-  std::sort(classes.begin(), classes.end(), [&](Label a, Label b) {
-    const double la = logits[static_cast<size_t>(a)];
-    const double lb = logits[static_cast<size_t>(b)];
-    return la != lb ? la > lb : a < b;
-  });
-  if (cfg.max_contrast_classes > 0 &&
-      static_cast<int>(classes.size()) > cfg.max_contrast_classes) {
-    classes.resize(static_cast<size_t>(cfg.max_contrast_classes));
-  }
-  return classes;
 }
 
 }  // namespace
@@ -102,10 +84,12 @@ std::vector<NodeId> PrioritizeTestNodes(const WitnessConfig& cfg,
   return order;
 }
 
-bool SecureNode(const WitnessConfig& cfg, NodeId v, const Matrix& base_logits,
-                const GenerateOptions& opts, const NodeWorkScope& scope,
-                InferenceEngine* engine, WitnessEngineViews* views,
-                Witness* out_gs, GenerateStats* stats) {
+bool SecureNode(const WitnessConfig& cfg, NodeId v, const GenerateOptions& opts,
+                const NodeWorkScope& scope, InferenceEngine* engine,
+                WitnessEngineViews* views, Witness* out_gs,
+                GenerateStats* stats) {
+  RCW_CHECK_MSG(&engine->base_view() == &engine->full_view(),
+                "SecureNode reads evidence on kFullView: whole-graph engine");
   // Work on a copy and commit only on success: a failed node must not leave
   // partial expansion in the shared witness.
   Witness work = *out_gs;
@@ -113,13 +97,16 @@ bool SecureNode(const WitnessConfig& cfg, NodeId v, const Matrix& base_logits,
   const FullView& full = engine->full_view();
   gs->AddNode(v);
   out_gs->AddNode(v);
-  // The base label and logits of v never change (the full view is
-  // immutable), so these are cache hits on every secure round and every
-  // fixpoint pass after the first.
+  // v's ball evidence and base label never change (the full view is
+  // immutable): the evidence is read once, its warm serves v's label too,
+  // and the label is a cache hit on every later secure round and pass.
+  const std::vector<NodeId> ball = cfg.SearchBall(full, v);
+  const Matrix evidence = EvidenceRows(cfg, engine, ball);
   const Label l = engine->Predict(InferenceEngine::kFullView, v);
-
-  PriOptions pri_opts = cfg.MakePriOptions();
-  pri_opts.ppr.alpha = ResolveAlpha(cfg);
+  std::vector<double> class_l(ball.size());
+  for (size_t i = 0; i < ball.size(); ++i) {
+    class_l[i] = evidence.at(static_cast<int64_t>(i), l);
+  }
 
   for (int secure_round = 0; secure_round <= cfg.k + opts.max_secure_rounds;
        ++secure_round) {
@@ -132,7 +119,7 @@ bool SecureNode(const WitnessConfig& cfg, NodeId v, const Matrix& base_logits,
       if (++expand_round > opts.max_expand_rounds) return false;
       ++stats->expand_rounds;
       const auto candidates =
-          RankExpansionCandidates(cfg, full, v, l, base_logits, *gs, scope);
+          RankExpansionCandidates(cfg, full, ball, class_l, *gs, scope);
       if (candidates.empty()) return false;
       const int take =
           std::min<int>(opts.expand_batch, static_cast<int>(candidates.size()));
@@ -176,89 +163,39 @@ bool SecureNode(const WitnessConfig& cfg, NodeId v, const Matrix& base_logits,
     }
 
     // -- Phase 2: adversarial verification; secure offending pairs. -------
-    const std::vector<double> logits =
-        engine->Logits(InferenceEngine::kFullView, v);
-    const auto protected_keys = gs->ProtectedKeys();
-    bool violated = false;
-
-    for (Label c : ContrastOrder(cfg, logits, l)) {
-      std::vector<double> r(static_cast<size_t>(cfg.graph->num_nodes()));
-      for (NodeId u = 0; u < cfg.graph->num_nodes(); ++u) {
-        r[static_cast<size_t>(u)] =
-            base_logits.at(u, c) - base_logits.at(u, l);
-      }
-      ++stats->pri_calls;
-      const PriResult pri = Pri(full, protected_keys, v, r, pri_opts);
-      if (pri.disturbance.empty()) continue;
-
-      // Content-addressed: a stable witness reproduces the same PRI
-      // disturbance on every re-verification pass, so these re-checks hit
-      // the engine's overlay cache.
-      bool bad = engine->PredictOverlay(pri.disturbance, v) != l;
-      if (!bad) {
-        std::vector<Edge> combined = gs->Edges();
-        combined.insert(combined.end(), pri.disturbance.begin(),
-                        pri.disturbance.end());
-        bad = engine->PredictOverlay(combined, v) == l;
-      }
-      if (bad) {
-        // Secure the most damaging offending pairs (PRI orders the
-        // disturbance by adversarial impact): removals become witness
-        // edges, insertions become protected pairs. Blocking the top few
-        // usually neutralizes the disturbance; the loop re-verifies.
-        const int take = std::min<int>(
-            opts.secure_batch, static_cast<int>(pri.disturbance.size()));
-        for (int i = 0; i < take; ++i) {
-          const Edge& e = pri.disturbance[static_cast<size_t>(i)];
-          if (cfg.graph->HasEdge(e.u, e.v)) {
-            gs->AddEdge(e.u, e.v);
-          } else {
-            gs->AddProtectedPair(e.u, e.v);
-          }
-        }
-        if (opts.verbose) {
-          std::printf("[RoboGExp] v=%d secured %zu pairs (contrast %d)\n", v,
-                      pri.disturbance.size(), c);
-        }
-        violated = true;
-        break;  // re-establish CW, then re-verify
-      }
-    }
-    if (violated) continue;
-
-    // Counterfactual side: strongest restoration disturbance of G \ Gs. The
-    // removed-view prediction is a cache hit: the CW probe above already
-    // computed it for the current witness state.
+    // VerifyRcw's units for v on the working witness. Their G \ Gs
+    // prediction is a cache hit: the CW probe above computed it.
     views->Sync(*gs);
-    const Label l2 = engine->Predict(views->removed_id(), v);
-    std::vector<double> r(static_cast<size_t>(cfg.graph->num_nodes()));
-    for (NodeId u = 0; u < cfg.graph->num_nodes(); ++u) {
-      r[static_cast<size_t>(u)] = base_logits.at(u, l) - base_logits.at(u, l2);
+    const OverlayView& removed = views->removed_view();
+    int units = 0;
+    const VerifyResult check = CheckRobustness(cfg, {v}, *gs, removed,
+                                               views->removed_id(), engine,
+                                               /*scheduler=*/nullptr, &units);
+    stats->pri_calls += units;
+    if (check.ok) {
+      // No adversary found — node secured; commit.
+      *out_gs = std::move(work);
+      return true;
     }
-    ++stats->pri_calls;
-    const PriResult back =
-        Pri(views->removed_view(), protected_keys, v, r, pri_opts);
-    if (!back.disturbance.empty()) {
-      std::vector<Edge> combined = gs->Edges();
-      combined.insert(combined.end(), back.disturbance.begin(),
-                      back.disturbance.end());
-      if (engine->PredictOverlay(combined, v) == l) {
-        const int take = std::min<int>(
-            opts.secure_batch, static_cast<int>(back.disturbance.size()));
-        for (int i = 0; i < take; ++i) {
-          const Edge& e = back.disturbance[static_cast<size_t>(i)];
-          if (cfg.graph->HasEdge(e.u, e.v)) {
-            gs->AddEdge(e.u, e.v);
-          } else {
-            gs->AddProtectedPair(e.u, e.v);
-          }
-        }
-        continue;
+    // Secure the most damaging offending pairs (PRI orders the disturbance
+    // by adversarial impact): removals become witness edges, insertions
+    // become protected pairs. Blocking the top few usually neutralizes the
+    // disturbance; the next round re-establishes CW and re-verifies.
+    const std::vector<Edge>& disturbance = check.counterexample;
+    const int size = static_cast<int>(disturbance.size());
+    const int take = std::min(opts.secure_batch, size);
+    for (int i = 0; i < take; ++i) {
+      const Edge& e = disturbance[static_cast<size_t>(i)];
+      if (cfg.graph->HasEdge(e.u, e.v)) {
+        gs->AddEdge(e.u, e.v);
+      } else {
+        gs->AddProtectedPair(e.u, e.v);
       }
     }
-    // No adversary found — node secured; commit.
-    *out_gs = std::move(work);
-    return true;
+    if (opts.verbose) {
+      std::printf("[RoboGExp] v=%d secured %d of %zu pairs (%s)\n", v, take,
+                  disturbance.size(), check.reason.c_str());
+    }
   }
   return false;
 }
@@ -277,6 +214,8 @@ GenerateResult GenerateRcw(const WitnessConfig& cfg,
                            InferenceEngine* engine) {
   RCW_CHECK(cfg.Valid());
   RCW_CHECK(&engine->model() == cfg.model && &engine->graph() == cfg.graph);
+  RCW_CHECK_MSG(&engine->base_view() == &engine->full_view(),
+                "GenerateRcw reads evidence on kFullView: whole-graph engine");
   Timer timer;
   GenerateResult result;
   const EngineStats before = engine->stats();
@@ -286,11 +225,8 @@ GenerateResult GenerateRcw(const WitnessConfig& cfg,
     return result;
   };
 
-  const FullView& full = engine->full_view();
-  const Matrix base_logits =
-      cfg.model->BaseLogits(full, cfg.graph->features());
-
   for (NodeId v : cfg.test_nodes) result.witness.AddNode(v);
+  WarmEvidence(cfg, engine, cfg.test_nodes);
 
   const std::vector<NodeId> order =
       detail::PrioritizeTestNodes(cfg, engine);
@@ -319,8 +255,8 @@ GenerateResult GenerateRcw(const WitnessConfig& cfg,
     }
     for (NodeId v : order) {
       if (unsecured.count(v) > 0) continue;
-      if (!detail::SecureNode(cfg, v, base_logits, pass_opts, scope, engine,
-                              &views, &result.witness, &result.stats)) {
+      if (!detail::SecureNode(cfg, v, pass_opts, scope, engine, &views,
+                              &result.witness, &result.stats)) {
         if (opts.skip_unsecurable) {
           unsecured.insert(v);
           continue;

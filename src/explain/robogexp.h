@@ -5,13 +5,13 @@
 // prediction margin) the generator:
 //   1. Expansion: grows Gs with the edges that carry the most class-l
 //      evidence toward v (policy-iteration scores on the PPR value vector of
-//      r = Z_{:,l}) until Gs is a counterfactual witness for v — the edges
-//      whose removal drains v's evidence are exactly the edges that make
-//      G \ Gs lose the label.
-//   2. Securing: runs the PRI adversary (Algorithm 1) to find the worst-case
-//      (k, b)-disturbance; whenever a disturbance disproves robustness, the
-//      offending node pairs are absorbed into Gs ("secured" — a disturbance
-//      may not flip pairs of Gw), and the loop repeats.
+//      r = Z_{:,l} on v's search ball, EvidenceRows in verify.h) until Gs
+//      is a counterfactual witness for v — the edges whose removal drains
+//      v's evidence are exactly the edges that make G \ Gs lose the label.
+//   2. Securing: runs VerifyRcw's PRI units (Algorithm 1) to find the
+//      worst-case (k, b)-disturbance; whenever a disturbance disproves
+//      robustness, the offending node pairs are absorbed into Gs ("secured"
+//      — a disturbance may not flip pairs of Gw), and the loop repeats.
 // If a node cannot be secured the algorithm degrades to the trivial witness
 // G, exactly as Algorithm 2 returns G on verification failure.
 #ifndef ROBOGEXP_EXPLAIN_ROBOGEXP_H_
@@ -57,6 +57,7 @@ struct GenerateStats {
   /// Actual GNN inference invocations issued (engine model invocations;
   /// cache hits are free, batched warms count once).
   int inference_calls = 0;
+  /// PRI searches: every unit of every secure round, all of which run.
   int pri_calls = 0;
   int expand_rounds = 0;
   int secure_rounds = 0;
@@ -102,10 +103,10 @@ struct GenerateResult {
 GenerateResult GenerateRcw(const WitnessConfig& cfg,
                            const GenerateOptions& opts = {});
 
-/// Engine-threading overload: runs on a caller-owned engine so its cache
-/// (base labels, witness-view logits) is shared with surrounding work, e.g.
-/// a verification pass over the generated witness. Stats report the engine
-/// work performed by this call only.
+/// Engine-threading overload: runs on a caller-owned engine, which must
+/// serve the whole graph on kFullView, so its cache (base labels, evidence
+/// rows, witness-view logits) is shared with surrounding work, e.g. a
+/// verification pass. Stats report the engine work of this call only.
 GenerateResult GenerateRcw(const WitnessConfig& cfg,
                            const GenerateOptions& opts,
                            InferenceEngine* engine);
@@ -125,14 +126,14 @@ struct NodeWorkScope {
 
 /// Expand-and-secure for a single test node; grows *gs in place. Returns
 /// false when the node cannot be made CW / robust within the scope and caps.
-/// Inference goes through `engine`; `views` tracks the witness-derived view
-/// slots (invalidated on every witness mutation). inference_calls /
-/// cache_hits are NOT accumulated into *stats — callers report them from
-/// the engine's stats delta.
-bool SecureNode(const WitnessConfig& cfg, NodeId v, const Matrix& base_logits,
-                const GenerateOptions& opts, const NodeWorkScope& scope,
-                InferenceEngine* engine, WitnessEngineViews* views,
-                Witness* gs, GenerateStats* stats);
+/// Inference and evidence go through `engine` (whole graph on kFullView);
+/// `views` tracks the witness-derived view slots (invalidated on every
+/// witness mutation). Each secure round runs CheckRobustness for v, adding
+/// its units to stats->pri_calls. inference_calls / cache_hits are NOT
+/// accumulated into *stats — callers report them from the engine's delta.
+bool SecureNode(const WitnessConfig& cfg, NodeId v, const GenerateOptions& opts,
+                const NodeWorkScope& scope, InferenceEngine* engine,
+                WitnessEngineViews* views, Witness* gs, GenerateStats* stats);
 
 /// Test nodes ordered by ascending prediction margin (the paper's
 /// prioritization processes nodes "unlikely to have labels changed" last).

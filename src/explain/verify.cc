@@ -1,7 +1,6 @@
 #include "src/explain/verify.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -34,11 +33,11 @@ std::vector<Label> ContrastClasses(const WitnessConfig& cfg,
   return classes;
 }
 
-std::vector<double> ContrastVector(const Matrix& base_logits, Label pos,
-                                   Label neg) {
-  std::vector<double> r(static_cast<size_t>(base_logits.rows()));
-  for (int64_t u = 0; u < base_logits.rows(); ++u) {
-    r[static_cast<size_t>(u)] = base_logits.at(u, pos) - base_logits.at(u, neg);
+/// Contrast vector r = Z_pos - Z_neg over a ball, from its evidence rows.
+std::vector<double> Contrast(const Matrix& evidence, Label pos, Label neg) {
+  std::vector<double> r(static_cast<size_t>(evidence.rows()));
+  for (int64_t i = 0; i < evidence.rows(); ++i) {
+    r[static_cast<size_t>(i)] = evidence.at(i, pos) - evidence.at(i, neg);
   }
   return r;
 }
@@ -199,166 +198,187 @@ VerifyResult VerifyRcw(const WitnessConfig& cfg, const Witness& witness) {
 VerifyResult VerifyRcw(const WitnessConfig& cfg, const Witness& witness,
                        InferenceEngine* engine, BatchScheduler* scheduler) {
   RCW_CHECK(cfg.Valid());
+  RCW_CHECK_MSG(&engine->base_view() == &engine->full_view(),
+                "VerifyRcw reads evidence on kFullView: whole-graph engine");
   const EngineStats before = engine->stats();
-  const FullView& full = engine->full_view();
+  // The search balls hold the test nodes, so their evidence warm also
+  // serves the base logits the CW checks read.
+  if (cfg.k > 0) WarmEvidence(cfg, engine, cfg.test_nodes);
   const EdgeSubsetView sub = witness.SubgraphView(cfg.graph->num_nodes());
-  // Over the engine's base view (== full_view() on ordinary engines), so
-  // the removed slot stays consistent with kFullView on shard engines.
   const OverlayView removed = witness.RemovedView(&engine->base_view());
   InferenceEngine::ScopedView sub_slot(engine, &sub);
   InferenceEngine::ScopedView removed_slot(engine, &removed);
-
-  VerifyResult cw = CwImpl(cfg, witness, engine, scheduler, sub_slot.id(),
-                           removed_slot.id());
-  if (!cw.ok) {
-    FillCost(before, engine, &cw);
-    return cw;
+  VerifyResult r = CwImpl(cfg, witness, engine, scheduler, sub_slot.id(),
+                          removed_slot.id());
+  if (r.ok && cfg.k > 0) {  // k == 0: CW == 0-RCW
+    r = detail::CheckRobustness(cfg, cfg.test_nodes, witness, removed,
+                                removed_slot.id(), engine, scheduler,
+                                /*units=*/nullptr);
   }
-  if (cfg.k == 0) {  // CW == 0-RCW
-    VerifyResult r;
-    r.ok = true;
-    FillCost(before, engine, &r);
-    return r;
-  }
+  FillCost(before, engine, &r);
+  return r;
+}
 
-  const Matrix base_logits = cfg.model->BaseLogits(full, cfg.graph->features());
+Matrix EvidenceRows(const WitnessConfig& cfg, InferenceEngine* engine,
+                    const std::vector<NodeId>& ball) {
+  if (const auto* appnp = dynamic_cast<const AppnpModel*>(cfg.model)) {
+    return appnp->TransformRows(cfg.graph->features(), ball);
+  }
+  return engine->LogitRows(InferenceEngine::kFullView, ball);
+}
+
+void WarmEvidence(const WitnessConfig& cfg, InferenceEngine* engine,
+                  const std::vector<NodeId>& nodes) {
+  if (dynamic_cast<const AppnpModel*>(cfg.model) != nullptr) return;
+  std::vector<NodeId> rows;
+  for (NodeId v : nodes) {
+    const std::vector<NodeId> ball = cfg.SearchBall(engine->full_view(), v);
+    rows.insert(rows.end(), ball.begin(), ball.end());
+  }
+  engine->Warm(InferenceEngine::kFullView, rows);
+}
+
+namespace detail {
+
+VerifyResult CheckRobustness(const WitnessConfig& cfg,
+                             const std::vector<NodeId>& nodes,
+                             const Witness& witness, const GraphView& removed,
+                             InferenceEngine::ViewId removed_id,
+                             InferenceEngine* engine, BatchScheduler* scheduler,
+                             int* units) {
+  const FullView& full = engine->full_view();
   PriOptions pri_opts = cfg.MakePriOptions();
   pri_opts.ppr.alpha = ResolveAlpha(cfg);
   const auto protected_keys = witness.ProtectedKeys();
   const std::vector<Edge> witness_edges = witness.Edges();
 
-  // Per-node context from the cached base logits (warmed by the CW pass).
+  // Per node: labels on G and G \ Gs, contrast classes, and the balls the
+  // units search (G for the contrast classes, G \ Gs for the back check)
+  // with their evidence, all served before any unit starts (callers warm
+  // the evidence of `nodes` first).
   struct NodeCtx {
     NodeId v;
-    std::vector<double> logits;
-    Label l;
+    Label l, l2;
     std::vector<Label> classes;
+    std::vector<NodeId> ball, back_ball;
+    Matrix evidence, back_evidence;
   };
   std::vector<NodeCtx> ctx;
-  ctx.reserve(cfg.test_nodes.size());
-  for (NodeId v : cfg.test_nodes) {
+  for (NodeId v : nodes) {
     NodeCtx c;
     c.v = v;
-    c.logits = engine->Logits(InferenceEngine::kFullView, v);
-    c.l = ArgmaxLabel(c.logits);
-    c.classes = ContrastClasses(cfg, c.logits, c.l);
+    const std::vector<double> logits =
+        engine->Logits(InferenceEngine::kFullView, v);
+    c.l = ArgmaxLabel(logits);
+    c.l2 = engine->Predict(removed_id, v);
+    c.classes = ContrastClasses(cfg, logits, c.l);
+    c.ball = cfg.SearchBall(full, v);
+    c.back_ball = cfg.SearchBall(removed, v);
+    c.evidence = EvidenceRows(cfg, engine, c.ball);
+    c.back_evidence = EvidenceRows(cfg, engine, c.back_ball);
     ctx.push_back(std::move(c));
   }
 
-  // Per-contrast disturbance checks submit their overlay demand instead of
-  // querying synchronously when a scheduler is given: concurrent
-  // verifications of the same witness (the serving replay workload) then
-  // coalesce identical disturbance checks into one union-ball flush. The
-  // read afterwards is a cache hit on exactly the values the synchronous
-  // path would compute.
+  // Units in check order: per node, (i) label robustness per contrast class
+  // (no (k, b)-disturbance flips M(v, ~G) away from l, and the witness stays
+  // counterfactual under each worst-case candidate), then (ii) the back
+  // check (no disturbance of G \ Gs pushes v back to l). Every PRI search
+  // runs, on the shared pool, so the searches never depend on timing.
+  struct Unit {
+    size_t node;
+    Label contrast;  // -1 for the back check
+    std::vector<Edge> disturbance;
+    std::vector<uint64_t> key;  // its canonical flip keys
+  };
+  std::vector<Unit> order;
+  for (size_t i = 0; i < ctx.size(); ++i) {
+    for (Label c : ctx[i].classes) order.push_back({i, c, {}, {}});
+    order.push_back({i, -1, {}, {}});
+  }
+  const int64_t n = static_cast<int64_t>(order.size());
+  ParallelFor(
+      DefaultPool(), n,
+      [&](int64_t i) {
+        Unit& u = order[static_cast<size_t>(i)];
+        const NodeCtx& c = ctx[u.node];
+        PriResult pri;
+        if (u.contrast < 0) {
+          const std::vector<double> r = Contrast(c.back_evidence, c.l, c.l2);
+          pri = Pri(removed, protected_keys, c.back_ball, r, pri_opts);
+        } else {
+          const std::vector<double> r = Contrast(c.evidence, u.contrast, c.l);
+          pri = Pri(full, protected_keys, c.ball, r, pri_opts);
+        }
+        u.disturbance = std::move(pri.disturbance);
+        u.key = InferenceEngine::CanonicalFlipKeys(u.disturbance);
+      },
+      /*min_grain=*/1);
+  if (units != nullptr) *units = static_cast<int>(n);
+
+  // With a scheduler, disturbance checks submit their overlay demand, so
+  // concurrent verifications of one witness (the serving replay workload)
+  // coalesce identical checks into one union-ball flush; the read after it
+  // is a cache hit on the values the synchronous path computes. Overlay
+  // entries are content-addressed: a verification following generation on
+  // a shared engine hits the checks of the generator's last secure round.
   auto predict_overlay = [&](const std::vector<Edge>& flips, NodeId v) {
     if (scheduler != nullptr) scheduler->SubmitOverlay(flips, {v}).Wait();
     return engine->PredictOverlay(flips, v);
   };
-
-  // (i) Label robustness per (node, contrast class): no (k, b)-disturbance
-  // flips M(v, ~G) away from l, and the witness stays counterfactual under
-  // each worst-case candidate.
-  auto run_class_unit =
-      [&](const NodeCtx& c, Label contrast) -> std::optional<VerifyResult> {
-    const std::vector<double> r = ContrastVector(base_logits, contrast, c.l);
-    const PriResult pri = Pri(full, protected_keys, c.v, r, pri_opts);
-    if (pri.disturbance.empty()) return std::nullopt;
-    // Overlay predictions are content-addressed: when this verification
-    // follows generation on a shared engine, the generator's final secure
-    // round already checked the same disturbances — cache hits here.
-    if (predict_overlay(pri.disturbance, c.v) != c.l) {
-      VerifyResult res;
+  auto judge = [&](const Unit& u) -> std::optional<VerifyResult> {
+    const NodeCtx& c = ctx[u.node];
+    if (u.disturbance.empty()) return std::nullopt;
+    const std::vector<Edge>& d = u.disturbance;
+    VerifyResult res;
+    res.failed_node = c.v;
+    res.counterexample = d;
+    if (u.contrast >= 0 && predict_overlay(d, c.v) != c.l) {
       res.reason = "robustness failed: disturbance flips M(v, ~G)";
-      res.failed_node = c.v;
-      res.counterexample = pri.disturbance;
       return res;
     }
     std::vector<Edge> combined = witness_edges;
-    combined.insert(combined.end(), pri.disturbance.begin(),
-                    pri.disturbance.end());
-    if (predict_overlay(combined, c.v) == c.l) {
-      VerifyResult res;
+    combined.insert(combined.end(), d.begin(), d.end());
+    if (predict_overlay(combined, c.v) != c.l) return std::nullopt;
+    if (u.contrast >= 0) {
       res.reason =
           "robustness failed: disturbance restores M(v, ~G \\ Gs) == l";
-      res.failed_node = c.v;
-      res.counterexample = pri.disturbance;
-      return res;
-    }
-    return std::nullopt;
-  };
-
-  // (ii) Counterfactual robustness from the other side: the strongest
-  // disturbance of G \ Gs pushing v back toward l must not succeed.
-  auto run_back_unit =
-      [&](const NodeCtx& c) -> std::optional<VerifyResult> {
-    const Label l2 = engine->Predict(removed_slot.id(), c.v);
-    const std::vector<double> r_back = ContrastVector(base_logits, c.l, l2);
-    const PriResult back = Pri(removed, protected_keys, c.v, r_back, pri_opts);
-    if (back.disturbance.empty()) return std::nullopt;
-    std::vector<Edge> combined = witness_edges;
-    combined.insert(combined.end(), back.disturbance.begin(),
-                    back.disturbance.end());
-    if (predict_overlay(combined, c.v) == c.l) {
-      VerifyResult res;
+    } else {
       res.reason = "robustness failed: disturbance of G \\ Gs restores label l";
-      res.failed_node = c.v;
-      res.counterexample = back.disturbance;
-      return res;
     }
-    return std::nullopt;
+    return res;
   };
 
-  // The units are independent; run them on the shared pool. Units are listed
-  // in the sequential verifier's check order, and the lexicographically
-  // smallest failing unit wins, so the reported outcome is identical to the
-  // sequential run (later units may be skipped once an earlier failure is
-  // known, which only sheds redundant work).
-  struct Unit {
-    size_t node;
-    int cls;  // index into NodeCtx::classes, or -1 for the back-check
-  };
-  std::vector<Unit> units;
-  for (size_t i = 0; i < ctx.size(); ++i) {
-    for (size_t j = 0; j < ctx[i].classes.size(); ++j) {
-      units.push_back({i, static_cast<int>(j)});
+  // Judge the proposals by inference on the pool too, but each disturbance
+  // of a node once: units proposing the same one would query the same
+  // overlay entries at once, and the engine would count both misses. The
+  // repeats are judged afterwards, from the cache. The first failing unit
+  // in check order wins, as in a sequential run.
+  std::vector<bool> repeat(order.size(), false);
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (order[j].node == order[i].node && order[j].key == order[i].key) {
+        repeat[i] = true;
+      }
     }
-    units.push_back({i, -1});
   }
-  std::vector<std::optional<VerifyResult>> failures(units.size());
-  std::atomic<size_t> first_failure{units.size()};
+  std::vector<std::optional<VerifyResult>> failures(order.size());
   ParallelFor(
-      DefaultPool(), static_cast<int64_t>(units.size()),
-      [&](int64_t idx) {
-        const size_t uidx = static_cast<size_t>(idx);
-        if (first_failure.load(std::memory_order_acquire) < uidx) return;
-        const Unit& u = units[uidx];
-        std::optional<VerifyResult> f =
-            u.cls < 0 ? run_back_unit(ctx[u.node])
-                      : run_class_unit(
-                            ctx[u.node],
-                            ctx[u.node].classes[static_cast<size_t>(u.cls)]);
-        if (f.has_value()) {
-          failures[uidx] = std::move(*f);
-          size_t cur = first_failure.load();
-          while (uidx < cur &&
-                 !first_failure.compare_exchange_weak(cur, uidx)) {
-          }
-        }
+      DefaultPool(), n,
+      [&](int64_t i) {
+        const size_t u = static_cast<size_t>(i);
+        if (!repeat[u]) failures[u] = judge(order[u]);
       },
       /*min_grain=*/1);
-
-  const size_t winner = first_failure.load();
-  if (winner < units.size()) {
-    VerifyResult res = *failures[winner];
-    FillCost(before, engine, &res);
-    return res;
+  for (size_t u = 0; u < order.size(); ++u) {
+    if (repeat[u]) failures[u] = judge(order[u]);
+    if (failures[u].has_value()) return std::move(*failures[u]);
   }
-  VerifyResult res;
-  res.ok = true;
-  FillCost(before, engine, &res);
-  return res;
+  VerifyResult ok;
+  ok.ok = true;
+  return ok;
 }
+
+}  // namespace detail
 
 namespace {
 

@@ -11,9 +11,10 @@
 ///    the disturbance (M(v, (G ⊕ E*) ∖ Gs) != l). Exact for APPNP
 ///    (Lemma 4); for other models PRI serves as the adversarial proposal
 ///    and inference is the judge. The independent per-node /
-///    per-contrast-class checks run in parallel on the shared ThreadPool;
-///    the reported outcome is identical to the sequential order (the
-///    lexicographically first failure wins).
+///    per-contrast-class checks (detail::CheckRobustness, shared with
+///    generation) run in parallel on the shared ThreadPool, reading
+///    evidence on search balls only; the reported outcome is identical to
+///    the sequential order (the first failure in check order wins).
 ///  - VerifyRcwExhaustive — the general (NP-hard) verifier: enumerates every
 ///    j-disturbance, j <= k, over the local candidate pairs. Exponential;
 ///    the ground-truth oracle for tests and the hardness ablation.
@@ -88,11 +89,44 @@ VerifyResult VerifyCounterfactual(const WitnessConfig& cfg,
                                   InferenceEngine* engine,
                                   BatchScheduler* scheduler = nullptr);
 
-/// Algorithm 1: is `witness` a k-RCW under (k, b)-disturbances?
+/// Algorithm 1: is `witness` a k-RCW under (k, b)-disturbances? Aborts
+/// unless `engine` serves the whole graph on kFullView (evidence is read
+/// there), not a fragment shard's view; for k > 0 it warms the evidence
+/// first (WarmEvidence), which also serves the CW checks' base logits.
 VerifyResult VerifyRcw(const WitnessConfig& cfg, const Witness& witness);
 VerifyResult VerifyRcw(const WitnessConfig& cfg, const Witness& witness,
                        InferenceEngine* engine,
                        BatchScheduler* scheduler = nullptr);
+
+/// PRI's and expansion's evidence for `ball`'s nodes, one row per node:
+/// APPNP's pre-propagation logits XΘ + b (Eq. 2), otherwise the model's
+/// logits on G from the engine's kFullView slot (cached, counted and
+/// invalidated like any other row; misses cost one batched forward).
+Matrix EvidenceRows(const WitnessConfig& cfg, InferenceEngine* engine,
+                    const std::vector<NodeId>& ball);
+
+/// Warms the kFullView rows EvidenceRows reads for the search balls of
+/// `nodes` with one forward over their union (a no-op for APPNP).
+void WarmEvidence(const WitnessConfig& cfg, InferenceEngine* engine,
+                  const std::vector<NodeId>& nodes);
+
+namespace detail {
+
+/// Algorithm 1's robustness units for `nodes` against `witness`, shared by
+/// VerifyRcw and generation's secure rounds: per node, one per contrast
+/// class, strongest runner-up first, then the back check on G ∖ Gs
+/// (`removed`, bound to slot `removed_id`). Every unit's PRI search runs on
+/// a grain-1 ParallelFor; the proposals are judged in parallel, each once
+/// per node. Returns the first failure in that order (ok if none); `*units`,
+/// if given, counts the units. Callers warm the evidence of `nodes` first.
+VerifyResult CheckRobustness(const WitnessConfig& cfg,
+                             const std::vector<NodeId>& nodes,
+                             const Witness& witness, const GraphView& removed,
+                             InferenceEngine::ViewId removed_id,
+                             InferenceEngine* engine, BatchScheduler* scheduler,
+                             int* units);
+
+}  // namespace detail
 
 /// Ground-truth verifier: enumerates all disturbances of size <= k among the
 /// candidate pairs within cfg.hop_radius of the test nodes. Aborts (CHECK)

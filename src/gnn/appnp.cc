@@ -22,13 +22,8 @@ Status AppnpModel::CheckParameters(const Matrix& theta, const Matrix& bias,
 
 Matrix AppnpModel::InferSubset(const GraphView& view, const Matrix& features,
                                const std::vector<NodeId>& nodes) const {
-  // H = XΘ + b restricted to the subset, reading feature rows in place.
-  RCW_CHECK(features.cols() == theta_.rows());
-  Matrix h(static_cast<int64_t>(nodes.size()), theta_.cols());
-  ParallelFor(DefaultPool(), h.rows(), [&](int64_t i) {
-    AddRowTimes(features.Row(nodes[static_cast<size_t>(i)]), theta_, h.Row(i));
-  }, /*min_grain=*/16);
-  h.AddRowVectorInPlace(bias_);
+  // H = XΘ + b restricted to the subset.
+  const Matrix h = TransformRows(features, nodes);
 
   // Column-wise propagation: z_{:,c} = (1-α)(I - αP)^{-1} h_{:,c}.
   const LocalSubgraph sub(view, nodes);
@@ -82,15 +77,15 @@ Matrix AppnpModel::BaseLogits(const GraphView& view,
   return h;
 }
 
-std::vector<double> AppnpModel::BaseLogitsRow(const Matrix& features,
-                                              NodeId u) const {
-  std::vector<double> h(static_cast<size_t>(num_classes()));
-  const double* xu = features.Row(u);
-  for (int c = 0; c < num_classes(); ++c) {
-    double s = bias_.at(0, c);
-    for (int64_t f = 0; f < theta_.rows(); ++f) s += xu[f] * theta_.at(f, c);
-    h[static_cast<size_t>(c)] = s;
-  }
+Matrix AppnpModel::TransformRows(const Matrix& features,
+                                 const std::vector<NodeId>& nodes) const {
+  // Feature rows are read in place.
+  RCW_CHECK(features.cols() == theta_.rows());
+  Matrix h(static_cast<int64_t>(nodes.size()), theta_.cols());
+  ParallelFor(DefaultPool(), h.rows(), [&](int64_t i) {
+    AddRowTimes(features.Row(nodes[static_cast<size_t>(i)]), theta_, h.Row(i));
+  }, /*min_grain=*/16);
+  h.AddRowVectorInPlace(bias_);
   return h;
 }
 

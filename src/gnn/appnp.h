@@ -60,8 +60,9 @@ class AppnpModel final : public GnnModel {
   Matrix BaseLogits(const GraphView& view,
                     const Matrix& features) const override;
 
-  /// H row for a single node (avoids materializing |V| x C).
-  std::vector<double> BaseLogitsRow(const Matrix& features, NodeId u) const;
+  /// Rows of H for `nodes`, in order: bit for bit BaseLogits' rows.
+  Matrix TransformRows(const Matrix& features,
+                       const std::vector<NodeId>& nodes) const;
 
   double alpha() const { return alpha_; }
   const PprOptions& ppr_options() const { return ppr_; }

@@ -195,14 +195,28 @@ Label InferenceEngine::Predict(ViewId id, NodeId v) {
   return ArgmaxLabel(Logits(id, v));
 }
 
+Matrix InferenceEngine::LogitRows(ViewId id, const std::vector<NodeId>& nodes) {
+  if (!opts_.cache && model_->BatchedInferenceAmortizes()) {
+    // Nothing is kept, so one batched invocation serves the whole read.
+    const GraphView* view;
+    return InferBatch(id, nodes, static_cast<int64_t>(nodes.size()), &view);
+  }
+  Warm(id, nodes);
+  Matrix out(static_cast<int64_t>(nodes.size()), model_->num_classes());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const std::vector<double> logits = Logits(id, nodes[i]);
+    std::copy(logits.begin(), logits.end(), out.Row(static_cast<int64_t>(i)));
+  }
+  return out;
+}
+
 void InferenceEngine::Warm(ViewId id, const std::vector<NodeId>& nodes) {
   if (!opts_.cache || nodes.empty()) return;
-  const GraphView* view;
   std::vector<NodeId> missing;
   missing.reserve(nodes.size());
   {
     std::unique_lock<std::mutex> lock(mu_);
-    view = ViewOf(id);
+    ViewOf(id);
     const Slot& slot = slots_[id];
     for (NodeId v : nodes) {
       if (slot.logits.count(v) == 0) missing.push_back(v);
@@ -218,26 +232,36 @@ void InferenceEngine::Warm(ViewId id, const std::vector<NodeId>& nodes) {
     for (NodeId v : missing) Logits(id, v);
     return;
   }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    view = ViewOf(id);  // the slot may have been rebound meanwhile
-    ++readers_[view];   // until EndReadLocked below
-  }
-  const Matrix rows = model_->InferNodes(*view, graph_->features(), missing);
+  // The slot may be rebound meanwhile; only the view read may absorb rows.
+  const GraphView* view;
+  const Matrix rows = InferBatch(id, missing, 0, &view);
   std::vector<LogitsPtr> packed;
   packed.reserve(missing.size());
   for (size_t i = 0; i < missing.size(); ++i) {
     packed.push_back(PackRow(rows, i));
   }
   std::unique_lock<std::mutex> lock(mu_);
-  EndReadLocked(view);
-  ++stats_.model_invocations;
-  stats_.batched_nodes += static_cast<int64_t>(missing.size());
   auto it = slots_.find(id);
   if (it == slots_.end() || it->second.view != view) return;
   for (size_t i = 0; i < missing.size(); ++i) {
     it->second.logits.emplace(missing[i], std::move(packed[i]));
   }
+}
+
+Matrix InferenceEngine::InferBatch(ViewId id, const std::vector<NodeId>& nodes,
+                                   int64_t queries, const GraphView** view) {
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    *view = ViewOf(id);
+    ++readers_[*view];  // until EndReadLocked below
+  }
+  Matrix rows = model_->InferNodes(**view, graph_->features(), nodes);
+  std::unique_lock<std::mutex> lock(mu_);
+  EndReadLocked(*view);
+  stats_.node_queries += queries;
+  ++stats_.model_invocations;
+  stats_.batched_nodes += static_cast<int64_t>(nodes.size());
+  return rows;
 }
 
 void InferenceEngine::WarmOverlay(const std::vector<Edge>& flips,

@@ -186,6 +186,10 @@ class InferenceEngine {
   /// Argmax label of Logits(id, v).
   Label Predict(ViewId id, NodeId v);
 
+  /// Logits(id, u) for each of `nodes`, one row per node in order, after
+  /// one Warm(). An uncached engine serves them with one batched invocation.
+  Matrix LogitRows(ViewId id, const std::vector<NodeId>& nodes);
+
   /// Ensures logits for all `nodes` are cached on slot `id`, serving the
   /// misses with one batched model invocation. No-op when caching is off
   /// (the baseline then pays per-query, exactly like the pre-engine code).
@@ -245,6 +249,11 @@ class InferenceEngine {
 
   /// Ends one read counted in readers_. Caller holds mu_.
   void EndReadLocked(const GraphView* view);
+
+  /// One InferNodes over `nodes` on slot `id`'s view, counted as a batched
+  /// model invocation plus `queries` node queries; `*view` is the view read.
+  Matrix InferBatch(ViewId id, const std::vector<NodeId>& nodes,
+                    int64_t queries, const GraphView** view);
 
   /// Rebuilds the overlay edge list from a canonical key vector.
   static std::vector<Edge> EdgesOfKeys(const std::vector<uint64_t>& keys);

@@ -1,7 +1,7 @@
 #include "src/graph/view.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 
 namespace robogexp {
 
@@ -107,44 +107,53 @@ std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops,
 std::vector<NodeId> KHopBall(const GraphView& view,
                              const std::vector<NodeId>& seeds, int hops,
                              int max_nodes, std::vector<size_t>* hop_ends) {
+  // Membership flags, all clear between calls: each call clears the ones it
+  // set, so a call costs its ball's adjacency, not O(|V|).
+  thread_local std::vector<uint8_t> seen;
+  if (seen.size() < static_cast<size_t>(view.num_nodes())) {
+    seen.resize(static_cast<size_t>(view.num_nodes()), 0);
+  }
   std::vector<NodeId> order;
-  std::unordered_set<NodeId> seen;
-  std::deque<std::pair<NodeId, int>> frontier;
   for (NodeId s : seeds) {
-    if (seen.insert(s).second) {
+    RCW_CHECK(s >= 0 && s < view.num_nodes());
+    if (seen[static_cast<size_t>(s)] == 0) {
+      seen[static_cast<size_t>(s)] = 1;
       order.push_back(s);
-      frontier.emplace_back(s, 0);
     }
   }
-  // ends[d] is the ball's size after its last entry at distance d so far;
-  // BFS appends by nondecreasing distance.
+  // ends[d] counts the entries within d hops.
   std::vector<size_t> ends;
   if (hop_ends != nullptr) {
     RCW_CHECK(hops >= 0);
     ends.assign(static_cast<size_t>(hops) + 1, 0);
     ends[0] = order.size();
   }
+  // Level by level over `order` itself: entries [begin, end) lie d hops
+  // out, and expanding them appends the entries d + 1 hops out.
   std::vector<NodeId> nbrs;
   bool capped = false;
-  while (!frontier.empty() && !capped) {
-    auto [u, d] = frontier.front();
-    frontier.pop_front();
-    if (d == hops) continue;
-    nbrs.clear();
-    view.AppendNeighbors(u, &nbrs);
-    std::sort(nbrs.begin(), nbrs.end());  // deterministic order
-    for (NodeId w : nbrs) {
-      if (max_nodes > 0 && static_cast<int>(order.size()) >= max_nodes) {
-        capped = true;
-        break;
-      }
-      if (seen.insert(w).second) {
-        order.push_back(w);
-        frontier.emplace_back(w, d + 1);
-        if (!ends.empty()) ends[static_cast<size_t>(d + 1)] = order.size();
+  for (int d = 0, begin = 0; d != hops && !capped; ++d) {
+    const int end = static_cast<int>(order.size());
+    if (begin == end) break;
+    for (int i = begin; i < end && !capped; ++i) {
+      nbrs.clear();
+      view.AppendNeighbors(order[static_cast<size_t>(i)], &nbrs);
+      std::sort(nbrs.begin(), nbrs.end());  // deterministic order
+      for (NodeId w : nbrs) {
+        if (max_nodes > 0 && static_cast<int>(order.size()) >= max_nodes) {
+          capped = true;
+          break;
+        }
+        if (seen[static_cast<size_t>(w)] == 0) {
+          seen[static_cast<size_t>(w)] = 1;
+          order.push_back(w);
+        }
       }
     }
+    begin = end;
+    if (!ends.empty()) ends[static_cast<size_t>(d + 1)] = order.size();
   }
+  for (NodeId u : order) seen[static_cast<size_t>(u)] = 0;
   if (hop_ends != nullptr) {
     for (size_t h = 1; h < ends.size(); ++h) {
       ends[h] = std::max(ends[h], ends[h - 1]);

@@ -125,8 +125,9 @@ std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops,
                              std::vector<size_t>* hop_ends = nullptr);
 
 /// Multi-source variant: ball around a set of seeds, the distinct seeds first
-/// in listed order. With `max_nodes` > 0 the search stops as soon as the ball
-/// holds that many nodes; `hop_ends` then counts the entries returned.
+/// in listed order; aborts unless every seed is a node of `view`. With
+/// `max_nodes` > 0 the search stops as soon as the ball holds that many
+/// nodes; `hop_ends` then counts the entries returned.
 std::vector<NodeId> KHopBall(const GraphView& view,
                              const std::vector<NodeId>& seeds, int hops,
                              int max_nodes = 0,

@@ -116,33 +116,30 @@ std::vector<double> SolveIMinusAlphaP(const LocalSubgraph& sub,
   return x;
 }
 
-std::vector<EvidenceEdge> RankEvidenceEdges(const GraphView& view, NodeId v,
-                                            int hop_radius, int max_ball_nodes,
-                                            const Matrix& logits, Label l,
-                                            const PprOptions& opts) {
-  const LocalSubgraph ball(view,
-                           CappedBall(view, v, hop_radius, max_ball_nodes));
-  std::vector<double> r(ball.size());
-  for (size_t i = 0; i < ball.size(); ++i) r[i] = logits.at(ball.node(i), l);
-  const std::vector<double> x = SolveIMinusAlphaP(ball, r, opts);
+std::vector<EvidenceEdge> RankEvidenceEdges(
+    const GraphView& view, const std::vector<NodeId>& ball,
+    const std::vector<double>& r, const PprOptions& opts) {
+  const LocalSubgraph sub(view, ball);
+  const std::vector<double> x = SolveIMinusAlphaP(sub, r, opts);
   auto mu = [&](size_t i) { return (x[i] - r[i]) / opts.alpha; };
 
-  // Hops from v = ball[0] over in-ball edges. The ball is in BFS order, so
-  // one pass in that order reaches each member from its BFS parent first.
-  std::vector<int> dist(ball.size(), 1 << 20);
+  // Hops from the center ball[0] over in-ball edges. The ball is in BFS
+  // order, so one pass in that order reaches each member from its BFS parent
+  // first.
+  std::vector<int> dist(sub.size(), 1 << 20);
   dist[0] = 0;
-  for (size_t a = 0; a < ball.size(); ++a) {
-    for (int32_t b : ball.Neighbors(a)) {
+  for (size_t a = 0; a < sub.size(); ++a) {
+    for (int32_t b : sub.Neighbors(a)) {
       dist[b] = std::min(dist[b], dist[a] + 1);
     }
   }
 
   std::vector<EvidenceEdge> out;
-  for (size_t a = 0; a < ball.size(); ++a) {
-    for (int32_t j : ball.Neighbors(a)) {
+  for (size_t a = 0; a < sub.size(); ++a) {
+    for (int32_t j : sub.Neighbors(a)) {
       const size_t b = static_cast<size_t>(j);
-      if (ball.node(b) < ball.node(a)) continue;  // each pair once, u < v
-      out.push_back({Edge(ball.node(a), ball.node(b)),
+      if (sub.node(b) < sub.node(a)) continue;  // each pair once, u < v
+      out.push_back({Edge(sub.node(a), sub.node(b)),
                      std::max(x[b] - mu(a), x[a] - mu(b)),
                      std::min(dist[a], dist[b])});
     }

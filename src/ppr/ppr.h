@@ -58,11 +58,12 @@ struct EvidenceEdge {
   int distance;
 };
 
-/// Every edge inside CappedBall(view, v, hop_radius, max_ball_nodes) with
-/// r = column `l` of `logits`, nearest first, then strongest, then by edge.
-std::vector<EvidenceEdge> RankEvidenceEdges(const GraphView& view, NodeId v,
-                                            int hop_radius, int max_ball_nodes,
-                                            const Matrix& logits, Label l,
+/// Every edge inside `ball`, a BFS-ordered ball of `view` around its center
+/// ball[0] (CappedBall's), with `r` (class-l evidence aligned with `ball`)
+/// as the solved vector: nearest first, then strongest, then by edge.
+std::vector<EvidenceEdge> RankEvidenceEdges(const GraphView& view,
+                                            const std::vector<NodeId>& ball,
+                                            const std::vector<double>& r,
                                             const PprOptions& opts);
 
 /// BFS ball around `center` capped at `max_nodes` (used to localize PPR

@@ -14,32 +14,20 @@ struct Candidate {
   double score;
 };
 
-std::vector<double> GatherLocal(const std::vector<double>& global,
-                                const std::vector<NodeId>& subset) {
-  std::vector<double> local(subset.size());
-  for (size_t i = 0; i < subset.size(); ++i) {
-    local[i] = global[static_cast<size_t>(subset[i])];
-  }
-  return local;
-}
-
 }  // namespace
 
-double PprContrastGain(const GraphView& view, NodeId v,
-                       const std::vector<double>& r_global,
-                       const PriOptions& opts) {
-  const std::vector<NodeId> ball =
-      CappedBall(view, v, opts.hop_radius, opts.max_ball_nodes);
-  const std::vector<double> r = GatherLocal(r_global, ball);
+double PprContrastGain(const GraphView& view, const std::vector<NodeId>& ball,
+                       const std::vector<double>& r, const PprOptions& opts) {
   const std::vector<double> x =
-      SolveIMinusAlphaP(LocalSubgraph(view, ball), r, opts.ppr);
-  // ball[0] == v by construction.
-  return (1.0 - opts.ppr.alpha) * x[0];
+      SolveIMinusAlphaP(LocalSubgraph(view, ball), r, opts);
+  return (1.0 - opts.alpha) * x[0];
 }
 
 PriResult Pri(const GraphView& base,
-              const std::unordered_set<uint64_t>& protected_keys, NodeId v,
-              const std::vector<double>& r_global, const PriOptions& opts) {
+              const std::unordered_set<uint64_t>& protected_keys,
+              const std::vector<NodeId>& ball, const std::vector<double>& r,
+              const PriOptions& opts) {
+  RCW_CHECK(!ball.empty() && r.size() == ball.size());
   PriResult result;
   std::vector<Edge> current;  // E_i
   std::unordered_set<uint64_t> current_keys;
@@ -47,9 +35,7 @@ PriResult Pri(const GraphView& base,
   // fixed on the undisturbed view for determinism; removal-only disturbances
   // can only shrink the reachable set, and the paper's own search is
   // localized around the explanation.
-  LocalSubgraph sub(base,
-                    CappedBall(base, v, opts.hop_radius, opts.max_ball_nodes));
-  const std::vector<double> r = GatherLocal(r_global, sub.nodes());
+  LocalSubgraph sub(base, ball);
   // `x` solves `sub`; the undisturbed solve serves round 0.
   std::vector<double> x = SolveIMinusAlphaP(sub, r, opts.ppr);
   result.base_gain = (1.0 - opts.ppr.alpha) * x[0];

@@ -1,9 +1,10 @@
 // PRI — greedy policy-iteration search for the worst-case (k, b)-disturbance
 // (inner procedure of Algorithm 1, verifyRCW-APPNP).
 //
-// Given a target node v and a contrast vector r = Z_{:,c} - Z_{:,l} over
-// nodes, PRI looks for up to k node-pair flips (at most b per node, never
-// touching protected pairs, i.e. witness edges) that maximize
+// Given a target node v, its search ball (the nodes within the hop radius)
+// and a contrast vector r = Z_{:,c} - Z_{:,l} over the ball's nodes, PRI
+// looks for up to k node-pair flips inside the ball (at most b per node,
+// never touching protected pairs, i.e. witness edges) that maximize
 //     π_Ek(v)^T r  =  (1-α) · x(v),   x = (I - α P')^{-1} r,
 // where P' is the random-walk matrix of the disturbed graph. A positive
 // maximum means some disturbance pushes v's APPNP score for class c above
@@ -33,11 +34,6 @@ struct PriOptions {
   int local_budget = 1;
   /// Policy-iteration round cap (fixpoint usually reached in 2-4 rounds).
   int max_rounds = 8;
-  /// Candidate pairs and the PPR solve are restricted to this hop radius
-  /// around the target node.
-  int hop_radius = 3;
-  /// Hard cap on the localized solve ball (<= 0: unlimited).
-  int max_ball_nodes = 20000;
   /// When true, insertions of absent node pairs are also candidates
   /// (full "flip" disturbance); otherwise removal-only, matching the paper's
   /// experimental setting.
@@ -58,17 +54,18 @@ struct PriResult {
   int rounds = 0;
 };
 
-/// Runs PRI for target `v` with contrast vector `r_global` (indexed by global
-/// node id). Pairs whose key is in `protected_keys` (the witness edges Gw)
-/// are never flipped.
+/// Runs PRI for target ball[0] inside `ball`, a ball of `base` around it,
+/// with contrast vector `r` aligned with `ball`. Pairs whose key is in
+/// `protected_keys` (the witness edges Gw) are never flipped.
 PriResult Pri(const GraphView& base,
-              const std::unordered_set<uint64_t>& protected_keys, NodeId v,
-              const std::vector<double>& r_global, const PriOptions& opts);
+              const std::unordered_set<uint64_t>& protected_keys,
+              const std::vector<NodeId>& ball, const std::vector<double>& r,
+              const PriOptions& opts);
 
-/// (1-α)·x(v) for a fixed view (no disturbance search).
-double PprContrastGain(const GraphView& view, NodeId v,
-                       const std::vector<double>& r_global,
-                       const PriOptions& opts);
+/// (1-α)·x(ball[0]) solved over `ball` on a fixed view (no disturbance
+/// search), `r` aligned with `ball`.
+double PprContrastGain(const GraphView& view, const std::vector<NodeId>& ball,
+                       const std::vector<double>& r, const PprOptions& opts);
 
 }  // namespace robogexp
 

@@ -48,7 +48,6 @@ MaintainReport WitnessMaintainer::Initialize() {
   unsecured_.clear();
   unsecured_.insert(gen.unsecured.begin(), gen.unsecured.end());
   outstanding_.clear();
-  base_logits_fresh_ = false;
   known_graph_version_ = graph_->mutation_version();
   initialized_ = true;
   // Bind the witness-view slots now rather than lazily: a serving front
@@ -73,7 +72,6 @@ MaintainReport WitnessMaintainer::Adopt(const Witness& witness) {
   for (NodeId v : cfg_.test_nodes) witness_.AddNode(v);
   unsecured_.clear();
   outstanding_.clear();
-  base_logits_fresh_ = false;
   known_graph_version_ = graph_->mutation_version();
   initialized_ = true;
 
@@ -91,7 +89,6 @@ MaintainReport WitnessMaintainer::Adopt(const Witness& witness) {
   // up on.
   std::vector<NodeId> failing = VerifyNodesAtFullBudget(cfg_.test_nodes);
   if (!failing.empty()) {
-    RefreshBaseLogits();
     GenerateStats gstats;
     std::unordered_set<NodeId> recovered, failed;
     ResecureWithGrowthProbes(failing, &gstats, &recovered, &failed);
@@ -191,7 +188,6 @@ StatusOr<MaintainReport> WitnessMaintainer::AdoptState(
     auto& out = outstanding_[v];
     for (const Edge& e : flips) out.emplace(e.Key(), e);
   }
-  base_logits_fresh_ = false;
   known_graph_version_ = graph_->mutation_version();
   initialized_ = true;
   views_.Sync(witness_);
@@ -272,27 +268,19 @@ void WitnessMaintainer::PruneDeletedWitnessEdges() {
   witness_ = std::move(pruned);
 }
 
-void WitnessMaintainer::RefreshBaseLogits() {
-  if (base_logits_fresh_) return;
-  // Mirrors the per-call BaseLogits computation of GenerateRcw (and like
-  // there, it is direct model work, not engine-counted inference).
-  base_logits_ =
-      cfg_.model->BaseLogits(engine_.full_view(), graph_->features());
-  base_logits_fresh_ = true;
-}
-
 std::vector<NodeId> WitnessMaintainer::Resecure(
     const std::vector<NodeId>& nodes, GenerateStats* stats) {
   if (opts_.num_threads > 1 && nodes.size() > 1) {
     // ParaSecureNodes reports its own engines' work through *stats.
-    return ParaSecureNodes(cfg_, nodes, base_logits_, opts_.gen,
-                           opts_.num_threads, &witness_, stats);
+    return ParaSecureNodes(cfg_, nodes, opts_.gen, opts_.num_threads,
+                           &witness_, stats);
   }
   const detail::NodeWorkScope scope;  // unrestricted
   std::vector<NodeId> failed;
+  WarmEvidence(cfg_, &engine_, nodes);
   for (NodeId v : nodes) {
-    if (!detail::SecureNode(cfg_, v, base_logits_, opts_.gen, scope, &engine_,
-                            &views_, &witness_, stats)) {
+    if (!detail::SecureNode(cfg_, v, opts_.gen, scope, &engine_, &views_,
+                            &witness_, stats)) {
       failed.push_back(v);
     }
   }
@@ -498,7 +486,6 @@ StatusOr<MaintainReport> WitnessMaintainer::Apply(const UpdateBatch& batch) {
     return report;
   };
   if (flips.empty()) return finish(MaintainAction::kUntouched);
-  base_logits_fresh_ = false;
 
   // Phase 2 — localize, still pre-commit: which receptive balls will the
   // batch touch? Distances are measured on the union graph (pre-update
@@ -613,7 +600,6 @@ StatusOr<MaintainReport> WitnessMaintainer::Apply(const UpdateBatch& batch) {
   // escalated nodes starting from the current witness (with the
   // growth-probe fixpoint — see ResecureWithGrowthProbes).
   PruneDeletedWitnessEdges();
-  RefreshBaseLogits();
   GenerateStats gstats;
   std::sort(escalate.begin(), escalate.end());
   std::unordered_set<NodeId> recovered_set, failed_set;

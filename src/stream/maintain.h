@@ -31,7 +31,8 @@
 // untouched test nodes stay warm across the whole stream. For models whose
 // inference is NOT receptive-field-local (APPNP's PPR push) no per-ball
 // subset is provably fresh, so Apply() escalates to full-view invalidation
-// instead — served logits are bitwise-fresh for every model.
+// instead — served logits are bitwise-fresh for every model. Evidence rows
+// (EvidenceRows) are kFullView entries too, refreshed the same way.
 //
 // Apply() is additionally an EVENT SOURCE for concurrent serving
 // (src/serve/wait_buffer.h): before mutating anything it publishes a
@@ -202,9 +203,6 @@ class WitnessMaintainer {
   /// (protected pairs and nodes survive).
   void PruneDeletedWitnessEdges();
 
-  /// Recomputes cached base logits when the graph changed under them.
-  void RefreshBaseLogits();
-
   /// Re-secures `nodes` (sequential or parallel), returns failures (sorted).
   std::vector<NodeId> Resecure(const std::vector<NodeId>& nodes,
                                GenerateStats* stats);
@@ -216,7 +214,7 @@ class WitnessMaintainer {
   /// probes for; the pass cap mirrors GenerateRcw's). Secured nodes are
   /// erased from outstanding_/unsecured_ and added to *recovered; nodes
   /// that could not be secured — or were still demoted at the cap — are
-  /// added to *failed. Callers run RefreshBaseLogits() first.
+  /// added to *failed.
   void ResecureWithGrowthProbes(const std::vector<NodeId>& escalate,
                                 GenerateStats* stats,
                                 std::unordered_set<NodeId>* recovered,
@@ -253,8 +251,6 @@ class WitnessMaintainer {
   /// Per test node: flips currently outstanding against the graph state the
   /// node was last secured on (toggled — a flip applied twice cancels).
   std::unordered_map<NodeId, std::unordered_map<uint64_t, Edge>> outstanding_;
-  Matrix base_logits_;
-  bool base_logits_fresh_ = false;
   uint64_t known_graph_version_ = 0;
   bool initialized_ = false;
   /// Batches applied since the last MaintainOptions::checkpoint_path write.

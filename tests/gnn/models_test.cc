@@ -3,6 +3,7 @@
 // single-node inference (InferNode == full-graph Infer).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "src/gnn/trainer.h"
@@ -177,10 +178,17 @@ TEST(Appnp, BaseLogitsAreStructureIndependent) {
       EXPECT_DOUBLE_EQ(h1.at(i, j), h2.at(i, j));
     }
   }
-  // And BaseLogitsRow agrees with the matrix form.
-  const auto row = appnp->BaseLogitsRow(f.graph->features(), 5);
-  for (int c = 0; c < appnp->num_classes(); ++c) {
-    EXPECT_NEAR(row[static_cast<size_t>(c)], h1.at(5, c), 1e-12);
+  // And the evidence rows PRI reads are BaseLogits' rows, bit for bit, in
+  // any order and with repeats.
+  const std::vector<NodeId> nodes{5, 0, 11, 5, 3};
+  const Matrix rows = appnp->TransformRows(f.graph->features(), nodes);
+  ASSERT_EQ(rows.rows(), static_cast<int64_t>(nodes.size()));
+  ASSERT_EQ(rows.cols(), h1.cols());
+  const size_t bytes = static_cast<size_t>(h1.cols()) * sizeof(double);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const double* got = rows.Row(static_cast<int64_t>(i));
+    EXPECT_EQ(std::memcmp(got, h1.Row(nodes[i]), bytes), 0)
+        << "node " << nodes[i];
   }
 }
 

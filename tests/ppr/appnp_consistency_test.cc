@@ -15,10 +15,12 @@ namespace {
 
 class AppnpPriConsistency : public ::testing::TestWithParam<NodeId> {};
 
-std::vector<double> Contrast(const Matrix& h, Label c, Label l) {
-  std::vector<double> r(static_cast<size_t>(h.rows()));
-  for (int64_t u = 0; u < h.rows(); ++u) {
-    r[static_cast<size_t>(u)] = h.at(u, c) - h.at(u, l);
+// r = H_c - H_l on `ball`, the search ball of PRI.
+std::vector<double> Contrast(const Matrix& h, const std::vector<NodeId>& ball,
+                             Label c, Label l) {
+  std::vector<double> r(ball.size());
+  for (size_t i = 0; i < ball.size(); ++i) {
+    r[i] = h.at(ball[i], c) - h.at(ball[i], l);
   }
   return r;
 }
@@ -35,14 +37,14 @@ TEST_P(AppnpPriConsistency, BaseGainEqualsLogitContrast) {
   opts.ppr.alpha = appnp->alpha();
   opts.ppr.tolerance = 1e-12;
   opts.ppr.max_iterations = 2000;
-  opts.hop_radius = 12;  // the whole fixture graph
+  const std::vector<NodeId> ball = CappedBall(full, v, 12, 0);  // all of it
 
   const std::vector<double> z = appnp->InferNode(full, f.graph->features(), v);
   for (Label c = 0; c < 2; ++c) {
     for (Label l = 0; l < 2; ++l) {
       if (c == l) continue;
       const double gain =
-          PprContrastGain(full, v, Contrast(h, c, l), opts);
+          PprContrastGain(full, ball, Contrast(h, ball, c, l), opts.ppr);
       EXPECT_NEAR(gain,
                   z[static_cast<size_t>(c)] - z[static_cast<size_t>(l)], 1e-4)
           << "node " << v << " contrast " << c << " vs " << l;
@@ -64,12 +66,11 @@ TEST_P(AppnpPriConsistency, DisturbedGainEqualsDisturbedLogitContrast) {
   opts.ppr.alpha = appnp->alpha();
   opts.ppr.tolerance = 1e-12;
   opts.ppr.max_iterations = 2000;
-  opts.hop_radius = 12;
+  const std::vector<NodeId> ball = CappedBall(full, v, 12, 0);
 
   const Label l = f.model->Predict(full, f.graph->features(), v);
   const Label c = 1 - l;
-  const auto r = Contrast(h, c, l);
-  const PriResult pri = Pri(full, {}, v, r, opts);
+  const PriResult pri = Pri(full, {}, ball, Contrast(h, ball, c, l), opts);
   if (pri.disturbance.empty()) GTEST_SKIP() << "no improving disturbance";
 
   // Replay the disturbance through real APPNP inference.
@@ -97,12 +98,12 @@ TEST(AppnpPriConsistency, WorstCaseMarginSignPredictsLabelFlip) {
   opts.k = 4;
   opts.local_budget = 2;
   opts.ppr.alpha = appnp->alpha();
-  opts.hop_radius = 12;
 
   for (NodeId v : testing::TwoCommunitySatellites()) {
     const Label l = f.model->Predict(full, f.graph->features(), v);
     const Label c = 1 - l;
-    const PriResult pri = Pri(full, {}, v, Contrast(h, c, l), opts);
+    const std::vector<NodeId> ball = CappedBall(full, v, 12, 0);
+    const PriResult pri = Pri(full, {}, ball, Contrast(h, ball, c, l), opts);
     if (pri.disturbance.empty() || std::abs(pri.disturbed_gain) < 1e-6) {
       continue;  // too close to the boundary to assert a sign
     }

@@ -14,6 +14,25 @@ std::vector<double> ContrastAt(int n, NodeId pos, double value = 1.0) {
   return r;
 }
 
+// The entries of `r_global` (indexed by node id) on `ball`.
+std::vector<double> OnBall(const std::vector<double>& r_global,
+                           const std::vector<NodeId>& ball) {
+  std::vector<double> r(ball.size());
+  for (size_t i = 0; i < ball.size(); ++i) {
+    r[i] = r_global[static_cast<size_t>(ball[i])];
+  }
+  return r;
+}
+
+// PRI for target v over its `hops`-hop ball of `base`.
+PriResult PriAround(const GraphView& base,
+                    const std::unordered_set<uint64_t>& protected_keys,
+                    NodeId v, const std::vector<double>& r_global,
+                    const PriOptions& opts, int hops = 3) {
+  const std::vector<NodeId> ball = CappedBall(base, v, hops, 0);
+  return Pri(base, protected_keys, ball, OnBall(r_global, ball), opts);
+}
+
 TEST(Pri, FindsCutThatIsolatesEvidence) {
   // Path 0-1-2-3-4-5; target 0 currently receives contrast mass from node 5.
   // The adversary wants to *maximize* contrast at 0; with removal-only flips
@@ -23,8 +42,7 @@ TEST(Pri, FindsCutThatIsolatesEvidence) {
   PriOptions opts;
   opts.k = 2;
   opts.local_budget = 2;
-  opts.hop_radius = 5;
-  const PriResult res = Pri(full, {}, NodeId{0}, ContrastAt(6, 5), opts);
+  const PriResult res = PriAround(full, {}, 0, ContrastAt(6, 5), opts, 5);
   EXPECT_TRUE(res.disturbance.empty());
   EXPECT_LE(res.disturbed_gain, res.base_gain + 1e-12);
 }
@@ -37,8 +55,8 @@ TEST(Pri, RemovesEdgesCarryingNegativeEvidence) {
   PriOptions opts;
   opts.k = 1;
   opts.local_budget = 1;
-  opts.hop_radius = 5;
-  const PriResult res = Pri(full, {}, NodeId{0}, ContrastAt(6, 5, -1.0), opts);
+  const PriResult res =
+      PriAround(full, {}, 0, ContrastAt(6, 5, -1.0), opts, 5);
   ASSERT_FALSE(res.disturbance.empty());
   EXPECT_GT(res.disturbed_gain, res.base_gain);
   // The cut must disconnect 0 from 5: any single path edge works, and the
@@ -57,7 +75,7 @@ TEST(Pri, RespectsGlobalBudgetK) {
     PriOptions opts;
     opts.k = k;
     opts.local_budget = 2;
-    const PriResult res = Pri(full, {}, NodeId{5}, r, opts);
+    const PriResult res = PriAround(full, {}, 5, r, opts);
     EXPECT_LE(static_cast<int>(res.disturbance.size()), k);
   }
 }
@@ -69,7 +87,7 @@ TEST(Pri, RespectsLocalBudgetB) {
   PriOptions opts;
   opts.k = 10;
   opts.local_budget = 1;
-  const PriResult res = Pri(full, {}, NodeId{5}, r, opts);
+  const PriResult res = PriAround(full, {}, 5, r, opts);
   std::unordered_map<NodeId, int> load;
   for (const Edge& e : res.disturbance) {
     EXPECT_LE(++load[e.u], 1);
@@ -85,9 +103,8 @@ TEST(Pri, NeverTouchesProtectedPairs) {
   PriOptions opts;
   opts.k = 3;
   opts.local_budget = 2;
-  opts.hop_radius = 5;
   const PriResult res =
-      Pri(full, protected_keys, NodeId{0}, ContrastAt(6, 5, -1.0), opts);
+      PriAround(full, protected_keys, 0, ContrastAt(6, 5, -1.0), opts, 5);
   for (const Edge& e : res.disturbance) {
     EXPECT_EQ(protected_keys.count(e.Key()), 0u);
   }
@@ -101,9 +118,9 @@ TEST(Pri, InsertionModeAttachesToContrastMass) {
   PriOptions opts;
   opts.k = 1;
   opts.local_budget = 1;
-  opts.hop_radius = 5;
   opts.allow_insertions = true;
-  const PriResult res = Pri(full, {}, NodeId{0}, ContrastAt(6, 5, 1.0), opts);
+  const PriResult res =
+      PriAround(full, {}, 0, ContrastAt(6, 5, 1.0), opts, 5);
   ASSERT_FALSE(res.disturbance.empty());
   EXPECT_GT(res.disturbed_gain, res.base_gain);
   // The inserted pair must be a non-edge of the path.
@@ -121,8 +138,8 @@ TEST(Pri, DeterministicAcrossRuns) {
   PriOptions opts;
   opts.k = 4;
   opts.local_budget = 2;
-  const PriResult a = Pri(full, {}, NodeId{9}, r, opts);
-  const PriResult b = Pri(full, {}, NodeId{9}, r, opts);
+  const PriResult a = PriAround(full, {}, 9, r, opts);
+  const PriResult b = PriAround(full, {}, 9, r, opts);
   EXPECT_EQ(a.disturbance.size(), b.disturbance.size());
   for (size_t i = 0; i < a.disturbance.size(); ++i) {
     EXPECT_EQ(a.disturbance[i], b.disturbance[i]);
@@ -130,17 +147,14 @@ TEST(Pri, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.disturbed_gain, b.disturbed_gain);
 }
 
-// (1-α)·x(v) from a direct solve over the base view's ball, on `view`.
+// (1-α)·x(v) from a direct solve over the base view's 3-hop ball, on
+// `view`.
 double DirectGain(const GraphView& base, const GraphView& view, NodeId v,
                   const std::vector<double>& r_global, const PriOptions& opts) {
-  const std::vector<NodeId> ball =
-      CappedBall(base, v, opts.hop_radius, opts.max_ball_nodes);
-  std::vector<double> r(ball.size());
-  for (size_t i = 0; i < ball.size(); ++i) {
-    r[i] = r_global[static_cast<size_t>(ball[i])];
-  }
+  const std::vector<NodeId> ball = CappedBall(base, v, 3, 0);
   return (1.0 - opts.ppr.alpha) *
-         SolveIMinusAlphaP(LocalSubgraph(view, ball), r, opts.ppr)[0];
+         SolveIMinusAlphaP(LocalSubgraph(view, ball), OnBall(r_global, ball),
+                           opts.ppr)[0];
 }
 
 TEST(Pri, GainsEqualDirectSolvesWhetherCapOrFixpointEndsTheSearch) {
@@ -165,7 +179,7 @@ TEST(Pri, GainsEqualDirectSolvesWhetherCapOrFixpointEndsTheSearch) {
         opts.local_budget = 2;
         opts.allow_insertions = insertions;
         opts.max_rounds = max_rounds;
-        const PriResult res = Pri(full, {}, v, r, opts);
+        const PriResult res = PriAround(full, {}, v, r, opts);
         ASSERT_FALSE(res.disturbance.empty()) << "node " << v;
         if (max_rounds > 1) {
           EXPECT_LT(res.rounds, max_rounds) << "node " << v;
@@ -182,10 +196,10 @@ TEST(PprContrastGain, MatchesPriBaseGain) {
   const Graph g = testing::MakePathGraph(8);
   const FullView full(&g);
   PriOptions opts;
-  opts.hop_radius = 7;
-  const auto r = ContrastAt(8, 7, 1.0);
-  const double gain = PprContrastGain(full, NodeId{0}, r, opts);
-  const PriResult res = Pri(full, {}, NodeId{0}, r, opts);
+  const std::vector<NodeId> ball = CappedBall(full, 0, 7, 0);
+  const auto r = OnBall(ContrastAt(8, 7, 1.0), ball);
+  const double gain = PprContrastGain(full, ball, r, opts.ppr);
+  const PriResult res = Pri(full, {}, ball, r, opts);
   EXPECT_EQ(gain, res.base_gain);
   EXPECT_GT(gain, 0.0);
 }
